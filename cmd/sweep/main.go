@@ -38,7 +38,7 @@ func main() {
 		warmup   = flag.Float64("warmup", 100, "warmup (s)")
 		reps     = flag.Int("reps", 10, "replications for stochastic methods")
 		seed     = flag.Uint64("seed", 20080901, "master seed")
-		parallel = flag.Int("parallel", 0, "worker pool size (0 = all CPUs)")
+		parallel = flag.Int("parallel", 0, "concurrent (scenario, estimator) evaluations, the only parallelism (0 = all CPUs)")
 	)
 	flag.Parse()
 

@@ -118,7 +118,7 @@ func main() {
 		experiment = flag.String("experiment", "all", "which artifact to regenerate (table1..table5, fig4, fig5, erlang, policy, workload, ctmc, lifetime, all)")
 		format     = flag.String("format", "text", "output format: text, csv or md")
 		model      = addModelFlags(flag.CommandLine)
-		parallel   = flag.Int("parallel", 0, "sweep worker pool size (0 = all CPUs)")
+		parallel   = flag.Int("parallel", 0, "concurrent (scenario, estimator) evaluations, the only parallelism (0 = all CPUs)")
 		chartW     = flag.Int("chartwidth", 72, "ASCII chart width for figures in text mode")
 		chartH     = flag.Int("chartheight", 20, "ASCII chart height")
 	)

@@ -120,7 +120,7 @@ func shardRun(ctx context.Context, args []string) error {
 	index := fs.Int("shard", 0, "which shard of the plan to run")
 	cacheDir := fs.String("cache", "", "shared file-backed result cache directory (optional)")
 	out := fs.String("out", "", "result-set output path (default results<shard>.json)")
-	parallel := fs.Int("parallel", 0, "worker pool size within this process (0 = all CPUs)")
+	parallel := fs.Int("parallel", 0, "concurrent (scenario, estimator) evaluations within this process, the only parallelism (0 = all CPUs)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}

@@ -125,7 +125,7 @@ func workMain(args []string) {
 	var (
 		join     = fs.String("join", "", "coordinator base URL (required)")
 		name     = fs.String("name", "", "worker name in coordinator status (default host:pid)")
-		parallel = fs.Int("parallel", 0, "scenario pool size within this worker (0 = all CPUs)")
+		parallel = fs.Int("parallel", 0, "concurrent (scenario, estimator) evaluations within this worker, the only parallelism (0 = all CPUs)")
 		idle     = fs.Int("idle-exit", 0, "exit after this many consecutive empty polls (0 = stay)")
 		cacheDir = fs.String("local-cache", "", "use a local file-backed result cache instead of the coordinator's")
 		noCache  = fs.Bool("no-remote-cache", false, "do not use the coordinator's shared result cache")

@@ -28,8 +28,12 @@ import (
 type FileBackend struct {
 	dir  string
 	hits atomic.Uint64
-	seq  atomic.Uint64 // temp-file uniquifier within this process
 }
+
+// fileTempSeq uniquifies temp-file names within this process. It is shared
+// by every FileBackend, because two backends on one directory would
+// otherwise pick the same name for the same key and write.
+var fileTempSeq atomic.Uint64
 
 // fileEntryVersion versions the on-disk record envelope (independent of
 // CacheKeyVersion, which versions the key inside it).
@@ -121,7 +125,7 @@ func (b *FileBackend) Put(key CacheKey, est Estimate) error {
 	// name. The temp name is unique per (process, write) so concurrent
 	// writers — including other processes sharing the directory — never
 	// collide on it.
-	tmp := fmt.Sprintf("%s.tmp.%d.%d", path, os.Getpid(), b.seq.Add(1))
+	tmp := fmt.Sprintf("%s.tmp.%d.%d", path, os.Getpid(), fileTempSeq.Add(1))
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return fmt.Errorf("core: writing cache entry: %w", err)
 	}

@@ -281,8 +281,11 @@ func WithSeed(seed uint64) RunnerOption {
 	}
 }
 
-// WithParallelism bounds the number of scenarios evaluated concurrently
-// (default runtime.GOMAXPROCS(0); 1 forces sequential execution).
+// WithParallelism bounds the number of (scenario, estimator) pairs
+// evaluated concurrently (default runtime.GOMAXPROCS(0); 1 forces
+// sequential execution). It is the only parallelism knob: the simulation
+// engines run an estimate's replications one after another on the
+// worker's goroutine.
 func WithParallelism(n int) RunnerOption {
 	return func(s *runnerSettings) error {
 		if n < 0 {
@@ -503,17 +506,13 @@ func (r *Runner) cacheLookup(key CacheKey) (*Estimate, bool) {
 	return &est, true
 }
 
-// runPair evaluates one (scenario config, estimator) unit of work, through
-// the result cache when enabled. Cancelled or failed runs are never stored,
-// so a mid-replication abort cannot poison the cache; completed runs train
-// the Runner's cost model for deadline-aware scheduling.
+// runPair evaluates one (scenario config, estimator) unit of work and, when
+// caching is enabled, stores the result. The feeder's prefill has already
+// looked the unit up and missed, so runPair does not consult the cache
+// again. Cancelled or failed runs are never stored, so a mid-replication
+// abort cannot poison the cache; completed runs train the Runner's cost
+// model for deadline-aware scheduling.
 func (r *Runner) runPair(ctx context.Context, cfg Config, ei int) (*Estimate, error) {
-	key := r.cacheKey(cfg, ei)
-	if r.cache {
-		if est, ok := r.cacheLookup(key); ok {
-			return est, nil
-		}
-	}
 	start := time.Now()
 	est, err := r.estimators[ei].EstimateContext(ctx, cfg)
 	if err != nil {
@@ -523,7 +522,7 @@ func (r *Runner) runPair(ctx context.Context, cfg Config, ei int) (*Estimate, er
 	if r.cache {
 		// Best-effort store: a backend write failure just means the next
 		// evaluation of this point recomputes it.
-		_ = r.backend.Put(key, *est)
+		_ = r.backend.Put(r.cacheKey(cfg, ei), *est)
 	}
 	return est, nil
 }

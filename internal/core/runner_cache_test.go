@@ -139,3 +139,52 @@ func TestRunnerCacheMutationSafe(t *testing.T) {
 		t.Fatal("cache returned the mutated Estimate")
 	}
 }
+
+// countingBackend is a MemoryBackend that counts Get and Put calls.
+type countingBackend struct {
+	*MemoryBackend
+	gets, puts atomic.Int64
+}
+
+func (b *countingBackend) Get(key CacheKey) (Estimate, bool, error) {
+	b.gets.Add(1)
+	return b.MemoryBackend.Get(key)
+}
+
+func (b *countingBackend) Put(key CacheKey, est Estimate) error {
+	b.puts.Add(1)
+	return b.MemoryBackend.Put(key, est)
+}
+
+// TestRunnerLooksUpEachUnitOnce: a cold batch of N distinct scenarios × E
+// estimators makes exactly one cache Get and one Put per unit — the
+// feeder's prefill is the only lookup.
+func TestRunnerLooksUpEachUnitOnce(t *testing.T) {
+	var calls atomic.Int64
+	backend := &countingBackend{MemoryBackend: NewMemoryBackend()}
+	ests, err := NewEstimators("markov")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ests = append(ests, AdaptEstimator(countingEstimator{calls: &calls}))
+	for _, parallelism := range []int{1, 4} {
+		backend.gets.Store(0)
+		backend.puts.Store(0)
+		if err := backend.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := NewRunner(WithConfig(PaperConfig()), WithSeed(77), WithEstimators(ests...),
+			WithCacheBackend(backend), WithParallelism(parallelism))
+		if err != nil {
+			t.Fatal(err)
+		}
+		scenarios := pdtSweep(r.BaseConfig(), []float64{0, 0.25, 0.5, 0.75, 1})
+		if _, err := r.RunAll(context.Background(), scenarios); err != nil {
+			t.Fatal(err)
+		}
+		units := int64(len(scenarios) * len(ests))
+		if g, p := backend.gets.Load(), backend.puts.Load(); g != units || p != units {
+			t.Fatalf("parallelism %d: %d Get and %d Put calls, want %d of each", parallelism, g, p, units)
+		}
+	}
+}

@@ -39,9 +39,8 @@ func TestRunContextCancelsMidSimulation(t *testing.T) {
 	}
 }
 
-// TestRunReplicationsContextCancels covers both replication paths: the
-// parallel (closed/stateless) fan-out and the sequential stateful-source
-// loop.
+// TestRunReplicationsContextCancels covers both workload kinds: an open
+// workload with a (possibly stateful) arrival source and a closed one.
 func TestRunReplicationsContextCancels(t *testing.T) {
 	t.Run("open-source-sequential", func(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
@@ -54,7 +53,7 @@ func TestRunReplicationsContextCancels(t *testing.T) {
 			t.Fatalf("returned %v, want context.Canceled", err)
 		}
 	})
-	t.Run("closed-parallel", func(t *testing.T) {
+	t.Run("closed-workload", func(t *testing.T) {
 		cfg := longRunConfig()
 		cfg.Arrivals = nil
 		cfg.Closed = &workload.Closed{Customers: 2, Think: dist.ExpMean(1)}

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/energy"
 	"repro/internal/stats"
-	"repro/internal/xsync"
 )
 
 // Replicated aggregates independent replications of a CPU simulation.
@@ -51,52 +50,34 @@ func (r *Replicated) EnergyJoulesCI(p energy.PowerModel, seconds float64) float6
 }
 
 // RunReplications executes reps independent runs, deriving each stream from
-// (cfg.Seed, replication index). Runs execute in parallel across CPUs;
-// folding in index order keeps the aggregate bit-identical to a sequential
-// execution.
+// (cfg.Seed, replication index). Runs execute one after another on the
+// calling goroutine and are folded in index order, so the aggregate is a
+// pure function of (cfg, reps); parallelism belongs to the caller, such as
+// a core.Runner running many scenarios at once.
 //
 // Caution: open-workload Sources may be stateful (an MMPP's phase, a
-// trace's position) and are therefore consumed sequentially, shared across
-// replications in index order — exactly the pre-parallel behaviour. Closed
-// workloads carry only immutable distributions and run in parallel.
+// trace's position) and are then shared across replications in index
+// order, each run continuing where the previous one left the source.
 func RunReplications(cfg Config, reps int) (*Replicated, error) {
 	return RunReplicationsContext(context.Background(), cfg, reps)
 }
 
 // RunReplicationsContext is RunReplications with cooperative cancellation:
 // every replication polls the context inside its event loop, so a cancelled
-// context aborts the whole set mid-replication (in-flight runs included)
-// and the call returns an error wrapping ctx.Err().
+// context aborts the running replication mid-simulation and the call
+// returns an error wrapping ctx.Err().
 func RunReplicationsContext(ctx context.Context, cfg Config, reps int) (*Replicated, error) {
 	if reps < 1 {
 		return nil, fmt.Errorf("cpu: replications must be >= 1, got %d", reps)
 	}
-	results := make([]*Result, reps)
-	errs := make([]error, reps)
-	runOne := func(rep int) {
-		c := cfg
-		c.Seed = cfg.Seed + uint64(rep)*0x9e3779b97f4a7c15
-		results[rep], errs[rep] = RunContext(ctx, c)
-	}
-	if cfg.Arrivals != nil {
-		// The open-workload Source interface permits stateful
-		// implementations (MMPP phase, trace position), which cannot be
-		// shared across goroutines.
-		for rep := 0; rep < reps; rep++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			runOne(rep)
-		}
-	} else {
-		xsync.ParallelFor(reps, runOne)
-	}
 	out := &Replicated{Replications: reps}
 	for rep := 0; rep < reps; rep++ {
-		if errs[rep] != nil {
-			return nil, fmt.Errorf("cpu: replication %d: %w", rep, errs[rep])
+		c := cfg
+		c.Seed = cfg.Seed + uint64(rep)*0x9e3779b97f4a7c15
+		res, err := RunContext(ctx, c)
+		if err != nil {
+			return nil, fmt.Errorf("cpu: replication %d: %w", rep, err)
 		}
-		res := results[rep]
 		for i := range res.Fractions {
 			out.Fractions[i].Add(res.Fractions[i])
 		}

@@ -101,16 +101,16 @@ func Transient(opt Options, horizon float64, step float64, reps int) (*report.Fi
 		XLabel: "time since switch-on (s)",
 		YLabel: "probability",
 	}
-	for state, place := range map[string]string{
-		"standby": core.PlaceStandBy,
-		"idle":    core.PlaceIdle,
-		"active":  core.PlaceActive,
+	for _, s := range []struct{ state, place string }{
+		{"standby", core.PlaceStandBy},
+		{"idle", core.PlaceIdle},
+		{"active", core.PlaceActive},
 	} {
-		id, ok := n.PlaceByName(place)
+		id, ok := n.PlaceByName(s.place)
 		if !ok {
-			return nil, fmt.Errorf("experiments: missing place %q", place)
+			return nil, fmt.Errorf("experiments: missing place %q", s.place)
 		}
-		fig.AddSeries(state, res.Times, res.PlaceMean[id])
+		fig.AddSeries(s.state, res.Times, res.PlaceMean[id])
 	}
 	return fig, nil
 }

@@ -26,7 +26,8 @@ type Options struct {
 	PUDs []float64
 	// Estimators are the compared methods (default core.Methods()).
 	Estimators []core.Estimator
-	// Parallelism bounds the sweep worker pool (default: all CPUs).
+	// Parallelism bounds the sweep worker pool (default: all CPUs), the
+	// only parallelism: each estimate runs its replications sequentially.
 	Parallelism int
 }
 

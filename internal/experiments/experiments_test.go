@@ -323,6 +323,33 @@ func TestTransientFigure(t *testing.T) {
 	}
 }
 
+// TestTransientOutputStable: X-7 emits its series in a fixed order
+// (standby, idle, active), so repeated renders are byte-identical.
+func TestTransientOutputStable(t *testing.T) {
+	opt := quickOptions()
+	var first string
+	for i := 0; i < 8; i++ {
+		fig, err := Transient(opt, 2, 0.5, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			var names []string
+			for _, s := range fig.Series {
+				names = append(names, s.Name)
+			}
+			if got := strings.Join(names, ","); got != "standby,idle,active" {
+				t.Fatalf("series order %s, want standby,idle,active", got)
+			}
+			first = fig.CSV()
+			continue
+		}
+		if csv := fig.CSV(); csv != first {
+			t.Fatalf("render %d differs from the first:\n%s\nvs\n%s", i, csv, first)
+		}
+	}
+}
+
 func TestNetworkLifetime(t *testing.T) {
 	tb, err := NetworkLifetime(quickOptions())
 	if err != nil {

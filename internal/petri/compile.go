@@ -121,8 +121,8 @@ type immGroup struct {
 }
 
 // Compiled is the immutable, dependency-compiled form of a Net, built once
-// by Compile and shared by every simulation run (and every replication
-// goroutine — nothing in it is mutated after construction).
+// by Compile and shared by every simulation run (and every goroutine that
+// simulates it — nothing in it is mutated after construction).
 //
 // It precomputes what the discrete-event engine needs per event:
 //
@@ -270,9 +270,9 @@ type Compiled struct {
 
 	// enginePool recycles run-ready engines (the per-run scratch state:
 	// marking, timers, heap, counters, accumulators) across simulations of
-	// this net, so replication sweeps reuse one engine per worker instead
-	// of allocating a fresh scratch set per replication. Engines are sized
-	// to this net and never migrate between compiled nets. See
+	// this net, so a replication sweep reuses one engine instead of
+	// allocating a fresh scratch set per replication. Engines are sized to
+	// this net and never migrate between compiled nets. See
 	// acquireEngine/releaseEngine in sim.go.
 	enginePool sync.Pool
 }

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/stats"
 	"repro/internal/xrand"
-	"repro/internal/xsync"
 )
 
 // MemoryPolicy selects how timed transitions treat their sampled firing
@@ -1198,7 +1197,7 @@ func SimulateReplications(n *Net, opt SimOptions, reps int) (*ReplicatedResult, 
 }
 
 // SimulateReplicationsContext is SimulateReplications with cooperative
-// cancellation: a cancelled context aborts every in-flight replication
+// cancellation: a cancelled context aborts the running replication
 // mid-simulation (not just between replications) and the call returns an
 // error wrapping ctx.Err().
 func SimulateReplicationsContext(ctx context.Context, n *Net, opt SimOptions, reps int) (*ReplicatedResult, error) {
@@ -1213,13 +1212,13 @@ func SimulateReplicationsContext(ctx context.Context, n *Net, opt SimOptions, re
 }
 
 // SimulateReplications runs reps independent replications of the compiled
-// net. Replications execute in parallel across the available CPUs; because
-// each replication's seed depends only on its index and results are folded
-// in index order, the aggregate is bit-identical to a sequential run. The
-// compiled net is never mutated by simulation, so sharing it between
-// goroutines is safe as long as any guard functions are pure. Each worker
-// draws its engine from the compiled net's pool, so a replication sweep
-// allocates a bounded number of engines regardless of reps.
+// net, one after another on the calling goroutine, and folds each into the
+// aggregate as it finishes. Each replication's seed depends only on its
+// index, so the aggregate is a pure function of (opt, reps). Parallelism
+// belongs to the caller: a core.Runner runs whole (scenario, estimator)
+// pairs concurrently, each on its own goroutine. The replications draw
+// their engine from the compiled net's pool, so a replication sweep reuses
+// one engine regardless of reps.
 func (c *Compiled) SimulateReplications(opt SimOptions, reps int) (*ReplicatedResult, error) {
 	return c.SimulateReplicationsContext(context.Background(), opt, reps)
 }
@@ -1231,13 +1230,6 @@ func (c *Compiled) SimulateReplicationsContext(ctx context.Context, opt SimOptio
 		return nil, fmt.Errorf("petri: replications must be >= 1, got %d", reps)
 	}
 	n := c.net
-	results := make([]*SimResult, reps)
-	errs := make([]error, reps)
-	xsync.ParallelFor(reps, func(rep int) {
-		o := opt
-		o.Seed = opt.Seed + uint64(rep)*0x9e3779b97f4a7c15
-		results[rep], errs[rep] = c.SimulateContext(ctx, o)
-	})
 	out := &ReplicatedResult{
 		Replications:  reps,
 		PlaceAvg:      make([]stats.Summary, len(n.Places)),
@@ -1245,10 +1237,12 @@ func (c *Compiled) SimulateReplicationsContext(ctx context.Context, opt SimOptio
 		Throughput:    make([]stats.Summary, len(n.Transitions)),
 	}
 	for rep := 0; rep < reps; rep++ {
-		if errs[rep] != nil {
-			return nil, fmt.Errorf("petri: replication %d: %w", rep, errs[rep])
+		o := opt
+		o.Seed = opt.Seed + uint64(rep)*0x9e3779b97f4a7c15
+		res, err := c.SimulateContext(ctx, o)
+		if err != nil {
+			return nil, fmt.Errorf("petri: replication %d: %w", rep, err)
 		}
-		res := results[rep]
 		for i := range n.Places {
 			out.PlaceAvg[i].Add(res.PlaceAvg[i])
 			out.PlaceNonEmpty[i].Add(res.PlaceNonEmpty[i])

@@ -4,9 +4,10 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/stats"
 )
 
 // mm1Net builds an open M/M/1 queue as a Petri net: a source transition
@@ -360,26 +361,74 @@ func TestReplicationsValidation(t *testing.T) {
 	}
 }
 
-// TestParallelReplicationsMatchSequential forces single-worker execution
-// and checks the parallel fold produces bit-identical aggregates.
-func TestParallelReplicationsMatchSequential(t *testing.T) {
+// TestReplicationsRunOnCallerGoroutine: replications run one after another
+// on the calling goroutine, so a guard may mutate unsynchronized state. The
+// guard counts its calls, and the count of a replication set must equal the
+// sum over the same replications run one at a time; under -race any
+// concurrent fan-out is reported as a race on the counter. The aggregate
+// must also equal the in-order fold of the single runs, bit for bit.
+func TestReplicationsRunOnCallerGoroutine(t *testing.T) {
+	const reps = 12
+	calls := 0
 	n := mm1Net(1, 5)
+	serve, _ := n.TransitionByName("Serve")
+	n.SetGuard(serve, func(Marking) bool { calls++; return true })
+	c, err := Compile(n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seed := func(base uint64, rep int) uint64 { return base + uint64(rep)*0x9e3779b97f4a7c15 }
+
 	opt := SimOptions{Seed: 7, Warmup: 20, Duration: 500}
-	parallel, err := SimulateReplications(n, opt, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	old := runtime.GOMAXPROCS(1)
-	sequential, err := SimulateReplications(mm1Net(1, 5), opt, 12)
-	runtime.GOMAXPROCS(old)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range parallel.PlaceAvg {
-		if parallel.PlaceAvg[i].Mean() != sequential.PlaceAvg[i].Mean() ||
-			parallel.PlaceAvg[i].Var() != sequential.PlaceAvg[i].Var() {
-			t.Fatalf("place %d: parallel and sequential aggregates differ", i)
+	want := make([]stats.Summary, len(n.Places))
+	wantCalls := 0
+	for rep := 0; rep < reps; rep++ {
+		o := opt
+		o.Seed = seed(opt.Seed, rep)
+		calls = 0
+		res, err := c.Simulate(o)
+		if err != nil {
+			t.Fatal(err)
 		}
+		wantCalls += calls
+		for i := range want {
+			want[i].Add(res.PlaceAvg[i])
+		}
+	}
+	if wantCalls == 0 {
+		t.Fatal("guard never evaluated")
+	}
+	calls = 0
+	got, err := c.SimulateReplications(opt, reps)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if calls != wantCalls {
+		t.Fatalf("SimulateReplications: guard ran %d times, want %d", calls, wantCalls)
+	}
+	for i := range want {
+		if got.PlaceAvg[i].Mean() != want[i].Mean() || got.PlaceAvg[i].Var() != want[i].Var() {
+			t.Fatalf("place %d: replication aggregate differs from the in-order fold", i)
+		}
+	}
+
+	topt := TransientOptions{Seed: 3, Horizon: 50, Step: 5, Replications: reps}
+	wantCalls = 0
+	for rep := 0; rep < reps; rep++ {
+		o := topt
+		o.Seed, o.Replications = seed(topt.Seed, rep), 1
+		calls = 0
+		if _, err := c.SimulateTransient(o); err != nil {
+			t.Fatal(err)
+		}
+		wantCalls += calls
+	}
+	calls = 0
+	if _, err := c.SimulateTransient(topt); err != nil {
+		t.Fatal(err)
+	}
+	if calls != wantCalls {
+		t.Fatalf("SimulateTransient: guard ran %d times, want %d", calls, wantCalls)
 	}
 }
 

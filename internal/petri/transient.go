@@ -6,7 +6,6 @@ import (
 	"math"
 
 	"repro/internal/stats"
-	"repro/internal/xsync"
 )
 
 // TransientOptions configures transient (time-dependent) analysis by
@@ -61,13 +60,14 @@ func (r *TransientResult) MeanAt(n *Net, name string, t float64) float64 {
 // independent replications and sampling each trajectory at the grid
 // points. Unlike Simulate, which time-averages one long run, this captures
 // the transient approach to steady state from the initial marking. The net
-// is compiled once and shared by all replications.
+// is compiled once and shared by all replications, which run one after
+// another on the calling goroutine.
 func SimulateTransient(n *Net, opt TransientOptions) (*TransientResult, error) {
 	return SimulateTransientContext(context.Background(), n, opt)
 }
 
 // SimulateTransientContext is SimulateTransient with cooperative
-// cancellation: a cancelled context aborts every in-flight trajectory
+// cancellation: a cancelled context aborts the running trajectory
 // mid-replication with an error wrapping ctx.Err().
 func SimulateTransientContext(ctx context.Context, n *Net, opt TransientOptions) (*TransientResult, error) {
 	c, err := Compile(n)
@@ -104,27 +104,15 @@ func (c *Compiled) SimulateTransientContext(ctx context.Context, opt TransientOp
 	for p := range acc {
 		acc[p] = make([]stats.Summary, nGrid)
 	}
-	// Sample trajectories in parallel, then fold them in index order so
-	// the estimate is independent of scheduling.
-	trajectories := make([][][]int, opt.Replications)
-	errs := make([]error, opt.Replications)
-	xsync.ParallelFor(opt.Replications, func(rep int) {
-		trajectories[rep], errs[rep] = sampleTrajectory(ctx, c, SimOptions{
+	for rep := 0; rep < opt.Replications; rep++ {
+		err := foldTrajectory(ctx, c, SimOptions{
 			Seed:              opt.Seed + uint64(rep)*0x9e3779b97f4a7c15,
 			Duration:          opt.Horizon,
 			Memory:            opt.Memory,
 			MaxVanishingChain: opt.MaxVanishingChain,
-		}, opt.Step, nGrid)
-	})
-	for rep := 0; rep < opt.Replications; rep++ {
-		if errs[rep] != nil {
-			return nil, fmt.Errorf("petri: transient replication %d: %w", rep, errs[rep])
-		}
-		samples := trajectories[rep]
-		for p := range acc {
-			for i := 0; i < nGrid; i++ {
-				acc[p][i].Add(float64(samples[i][p]))
-			}
+		}, opt.Step, acc)
+		if err != nil {
+			return nil, fmt.Errorf("petri: transient replication %d: %w", rep, err)
 		}
 	}
 	res := &TransientResult{
@@ -147,24 +135,26 @@ func (c *Compiled) SimulateTransientContext(ctx context.Context, opt TransientOp
 	return res, nil
 }
 
-// sampleTrajectory runs one replication, recording the marking at each grid
-// point with the right-continuous (cadlag) convention: a grid point that
-// coincides exactly with an event time records the post-event marking; at
-// t=0 the post-vanishing initial marking is used.
-func sampleTrajectory(ctx context.Context, c *Compiled, opt SimOptions, step float64, nGrid int) ([][]int, error) {
+// foldTrajectory runs one replication and adds the marking at each grid
+// point to acc[p][i], using the right-continuous (cadlag) convention: a grid
+// point that coincides exactly with an event time records the post-event
+// marking; at t=0 the post-vanishing initial marking is used.
+func foldTrajectory(ctx context.Context, c *Compiled, opt SimOptions, step float64, acc [][]stats.Summary) error {
 	e, err := c.acquireEngine(ctx, opt)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	defer c.releaseEngine(e)
 	if err := e.start(); err != nil {
-		return nil, err
+		return err
 	}
-	samples := make([][]int, nGrid)
+	nGrid := len(acc[0])
 	next := 0
 	record := func(upTo float64) {
 		for next < nGrid && float64(next)*step <= upTo {
-			samples[next] = e.marking.Clone()
+			for p, tokens := range e.marking {
+				acc[p][next].Add(float64(tokens))
+			}
 			next++
 		}
 	}
@@ -181,13 +171,10 @@ func sampleTrajectory(ctx context.Context, c *Compiled, opt SimOptions, step flo
 		}
 		e.advanceTo(t)
 		if err := e.fireTimed(int32(id)); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// Fill any remaining points with the final (absorbing) marking.
-	for next < nGrid {
-		samples[next] = e.marking.Clone()
-		next++
-	}
-	return samples, nil
+	record(math.Inf(1))
+	return nil
 }

@@ -58,8 +58,9 @@ type WorkerOptions struct {
 	Coordinator string
 	// Name identifies the worker in coordinator status and logs.
 	Name string
-	// Parallelism caps the worker Runner's scenario fan-out (0 =
-	// NumCPU).
+	// Parallelism caps how many (scenario, estimator) pairs the worker's
+	// Runner evaluates at once (0 = GOMAXPROCS). It is the worker's only
+	// parallelism: each pair runs its replications sequentially.
 	Parallelism int
 	// Client overrides the HTTP client (tests).
 	Client *http.Client

@@ -39,8 +39,10 @@ func WithConfig(cfg Config) Option { return core.WithConfig(cfg) }
 // seeds produce bit-identical results for equal batches, at any parallelism.
 func WithSeed(seed uint64) Option { return core.WithSeed(seed) }
 
-// WithParallelism bounds the number of scenarios evaluated concurrently
-// (default runtime.GOMAXPROCS(0); 1 forces sequential execution).
+// WithParallelism bounds the number of (scenario, estimator) pairs
+// evaluated concurrently (default runtime.GOMAXPROCS(0); 1 forces
+// sequential execution). It is the only parallelism knob: an estimate's
+// replications run one after another.
 func WithParallelism(n int) Option { return core.WithParallelism(n) }
 
 // WithEstimators sets the estimator list (default Methods(), the paper's
