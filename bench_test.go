@@ -7,6 +7,7 @@ package repro_test
 
 import (
 	"context"
+	"math"
 	"net/http/httptest"
 	"runtime"
 	"testing"
@@ -21,6 +22,7 @@ import (
 	"repro/internal/sensornode"
 	"repro/internal/shard"
 	"repro/internal/sweepd"
+	"repro/internal/xrand"
 )
 
 // benchOptions returns reduced-effort sweep options sized for benchmarking.
@@ -389,6 +391,60 @@ func BenchmarkFieldSimulateDeath(b *testing.B) {
 			b.Fatal("death benchmark ran without deaths")
 		}
 	}
+}
+
+// BenchmarkFieldSimulate10k measures the field simulator at 10,000 nodes:
+// a fanout-4 tree with 10 m hops on 0.35 mAh batteries over a 20 s warmup
+// and 200 s horizon, so ~1,800 nodes die and their subtrees reroute. ns/op
+// is the whole run. setup-ms is a run of the same field to a 1 µs horizon
+// (compile, open every session, finish), timed outside the loop timer, and
+// steady-ns/node-s prices what the full run adds beyond it per simulated
+// node-second.
+func BenchmarkFieldSimulate10k(b *testing.B) {
+	const nodes, warmup, horizon = 10000, 20, 200
+	r := xrand.New(1)
+	tree := make([]field.Node, nodes)
+	for i := range tree {
+		tree[i] = field.Node{ID: i, SampleRate: 0.0005}
+		if i == 0 {
+			continue
+		}
+		p := (i - 1) / 4
+		a := 2 * math.Pi * r.Float64()
+		tree[i].Parent = p
+		tree[i].Pos = field.Position{X: tree[p].Pos.X + 10*math.Cos(a), Y: tree[p].Pos.Y + 10*math.Sin(a)}
+	}
+	cfg := field.DefaultConfig(tree)
+	cfg.Battery = energy.Battery{CapacitymAh: 0.35, Volts: 3}
+	cfg.Warmup, cfg.Horizon = warmup, horizon
+	setupCfg := cfg
+	setupCfg.Warmup, setupCfg.Horizon = 0, 1e-6
+	var setup, full time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cfg.Seed = uint64(i + 1)
+		setupCfg.Seed = cfg.Seed
+		b.StopTimer()
+		start := time.Now()
+		if _, err := field.Simulate(setupCfg); err != nil {
+			b.Fatal(err)
+		}
+		setup += time.Since(start)
+		b.StartTimer()
+		start = time.Now()
+		res, err := field.Simulate(cfg)
+		full += time.Since(start)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(res.Deaths) == 0 {
+			b.Fatal("10k-node benchmark ran without deaths")
+		}
+	}
+	n := float64(b.N)
+	b.ReportMetric(float64(setup)/1e6/n, "setup-ms")
+	b.ReportMetric(float64(full-setup)/n/(nodes*(warmup+horizon)), "steady-ns/node-s")
 }
 
 // BenchmarkSensorNode measures the composite CPU+radio net.

@@ -15,8 +15,10 @@
 package field
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -125,13 +127,32 @@ func (c Config) Validate() error {
 	if err := c.Battery.Validate(); err != nil {
 		return fmt.Errorf("field: %w", err)
 	}
-	byID := make(map[int]int, len(c.Nodes))
+	// Index the nodes by ID without a map: a stable sort of positions puts
+	// duplicates next to each other in slice order, and a parent is found by
+	// binary search. dupAt is the first position whose ID already occurred.
+	byID := make([]int32, len(c.Nodes))
+	for i := range byID {
+		byID[i] = int32(i)
+	}
+	slices.SortStableFunc(byID, func(a, b int32) int { return cmp.Compare(c.Nodes[a].ID, c.Nodes[b].ID) })
+	dupAt := len(c.Nodes)
+	for k := 1; k < len(byID); k++ {
+		if c.Nodes[byID[k]].ID == c.Nodes[byID[k-1]].ID {
+			dupAt = min(dupAt, int(byID[k]))
+		}
+	}
+	indexOf := func(id int) int {
+		k, ok := slices.BinarySearchFunc(byID, id, func(p int32, id int) int { return cmp.Compare(c.Nodes[p].ID, id) })
+		if !ok {
+			return -1
+		}
+		return int(byID[k])
+	}
 	sink := -1
 	for i, n := range c.Nodes {
-		if _, dup := byID[n.ID]; dup {
+		if i == dupAt {
 			return fmt.Errorf("field: duplicate node ID %d", n.ID)
 		}
-		byID[n.ID] = i
 		if !(n.SampleRate > 0) || math.IsInf(n.SampleRate, 0) {
 			return fmt.Errorf("field: node %d: SampleRate must be positive and finite, got %v", n.ID, n.SampleRate)
 		}
@@ -145,18 +166,33 @@ func (c Config) Validate() error {
 	if sink < 0 {
 		return fmt.Errorf("field: no sink (a node with Parent == ID)")
 	}
-	// Every node must reach the sink without cycles.
-	for _, n := range c.Nodes {
-		seen := 0
-		for cur := n.ID; cur != c.Nodes[sink].ID; {
-			pi, ok := byID[cur]
-			if !ok {
-				return fmt.Errorf("field: node %d routes through unknown node %d", n.ID, cur)
+	// Every node must reach the sink without cycles. A walk stops at the
+	// first node already known to reach the sink; meeting a node of its own
+	// walk again is a cycle. Each node is walked once.
+	const (
+		unvisited = iota
+		walking
+		routed
+	)
+	state := make([]uint8, len(c.Nodes))
+	state[sink] = routed
+	var path []int
+	for i, n := range c.Nodes {
+		path = path[:0]
+		j := i
+		for state[j] == unvisited {
+			state[j] = walking
+			path = append(path, j)
+			parent := c.Nodes[j].Parent
+			if j = indexOf(parent); j < 0 {
+				return fmt.Errorf("field: node %d routes through unknown node %d", n.ID, parent)
 			}
-			cur = c.Nodes[pi].Parent
-			if seen++; seen > len(c.Nodes) {
-				return fmt.Errorf("field: routing cycle involving node %d", n.ID)
-			}
+		}
+		if state[j] == walking {
+			return fmt.Errorf("field: routing cycle involving node %d", n.ID)
+		}
+		for _, j := range path {
+			state[j] = routed
 		}
 	}
 	return nil

@@ -23,14 +23,21 @@ import (
 //     by the alive window at peak draw, and their budget reads empty;
 //   - with deaths the network lifetime is the measured first crossing;
 //     without, it stays the extrapolated minimum and survivors obey
-//     traffic monotonicity (more traffic never lengthens a lifetime).
+//     traffic monotonicity (more traffic never lengthens a lifetime);
+//   - reroutes land where they must: every surviving node reports as its
+//     parent its nearest configured ancestor alive at the horizon, or its
+//     configured parent when no ancestor up to the sink survived.
+//
+// Trees reach 40 nodes, so deaths chain through several levels.
 func FuzzFieldSimulate(f *testing.F) {
 	f.Add(uint64(1), uint8(4), uint16(1000), uint16(300), uint8(10), uint16(65535))
 	f.Add(uint64(42), uint8(2), uint16(1), uint16(65535), uint8(0), uint16(40))
 	f.Add(uint64(20080901), uint8(6), uint16(30000), uint16(1), uint8(200), uint16(0))
 	f.Add(uint64(7), uint8(5), uint16(20000), uint16(500), uint8(120), uint16(5))
+	f.Add(uint64(3), uint8(38), uint16(20000), uint16(400), uint8(60), uint16(1500))
+	f.Add(uint64(3), uint8(38), uint16(20000), uint16(400), uint8(60), uint16(3000))
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, rateRaw, radioRaw uint16, spacingRaw uint8, battRaw uint16) {
-		n := 2 + int(nRaw%6)
+		n := 2 + int(nRaw%39)
 		rng := xrand.New(seed)
 		nodes := make([]Node, n)
 		baseRate := 0.05 + float64(rateRaw)/65535*1.5
@@ -151,6 +158,26 @@ func FuzzFieldSimulate(f *testing.F) {
 					t.Fatalf("node %d: more traffic lengthened lifetime: %v -> %v",
 						nr.ID, nr.LifetimeSeconds, longer)
 				}
+			}
+		}
+		// Node IDs are their indexes and node 0 is the sink.
+		for _, nr := range res.Nodes {
+			if nr.Died || nr.Parent == nr.ID {
+				continue
+			}
+			want := nodes[nr.ID].Parent
+			for a := want; ; a = nodes[a].Parent {
+				if !res.Nodes[a].Died {
+					want = a
+					break
+				}
+				if a == 0 {
+					want = nodes[nr.ID].Parent
+					break
+				}
+			}
+			if nr.Parent != want {
+				t.Fatalf("node %d: reports parent %d, want nearest live ancestor %d (deaths %+v)", nr.ID, nr.Parent, want, res.Deaths)
 			}
 		}
 		if res.TotalEnergyJ != total {

@@ -73,3 +73,41 @@ func TestContextWrappersStillSolve(t *testing.T) {
 		}
 	}
 }
+
+// TestStationaryDispatch pins the size rule: chains up to directMaxStates
+// states get the dense LU solution bit for bit, larger ones the power
+// iteration's.
+func TestStationaryDispatch(t *testing.T) {
+	ctx := context.Background()
+	// A ring with uneven rates, so the two solvers round differently.
+	ring := func(n int) *CSR {
+		entries := make([]Coord, 0, 2*n)
+		for i := 0; i < n; i++ {
+			rate := 1 + float64(i%3)
+			entries = append(entries, Coord{Row: i, Col: (i + 1) % n, Val: rate}, Coord{Row: i, Col: i, Val: -rate})
+		}
+		return NewCSR(n, n, entries)
+	}
+	for _, tc := range []struct {
+		n     int
+		solve func(*CSR) ([]float64, error)
+	}{
+		{10, func(q *CSR) ([]float64, error) { return StationaryCTMCDirectContext(ctx, q) }},
+		{directMaxStates + 1, func(q *CSR) ([]float64, error) { return StationaryCTMCContext(ctx, q, GaussSeidelOptions{}) }},
+	} {
+		q := ring(tc.n)
+		want, err := tc.solve(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Stationary(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%d states: pi[%d] = %v, want %v", tc.n, i, got[i], want[i])
+			}
+		}
+	}
+}

@@ -205,6 +205,21 @@ func StationaryCTMCContext(ctx context.Context, q *CSR, opt GaussSeidelOptions) 
 	return pi, nil
 }
 
+// directMaxStates is the largest chain Stationary solves with a dense LU
+// factorization; past it the factorization's O(n²) memory and O(n³) time
+// lose to power iteration.
+const directMaxStates = 2000
+
+// Stationary solves pi Q = 0, sum(pi) = 1 with the solver suited to the
+// chain's size: StationaryCTMCDirectContext up to directMaxStates states,
+// StationaryCTMCContext with default options beyond.
+func Stationary(ctx context.Context, q *CSR) ([]float64, error) {
+	if q.RowsN <= directMaxStates {
+		return StationaryCTMCDirectContext(ctx, q)
+	}
+	return StationaryCTMCContext(ctx, q, GaussSeidelOptions{})
+}
+
 // StationaryCTMCDirect solves pi Q = 0 with a dense LU factorization by
 // replacing one balance equation with the normalization constraint. Suitable
 // for generators up to a few thousand states.

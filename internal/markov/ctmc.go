@@ -95,11 +95,7 @@ func (c *CTMC) SteadyState() ([]float64, error) {
 // into the linear algebra: a cancelled context aborts the LU elimination or
 // the power loop mid-iteration with ctx.Err(), not just up front.
 func (c *CTMC) SteadyStateContext(ctx context.Context) ([]float64, error) {
-	q := c.Generator()
-	if c.Len() <= 2000 {
-		return linalg.StationaryCTMCDirectContext(ctx, q)
-	}
-	return linalg.StationaryCTMCContext(ctx, q, linalg.GaussSeidelOptions{})
+	return linalg.Stationary(ctx, c.Generator())
 }
 
 // Transient computes the state distribution at time t from the initial

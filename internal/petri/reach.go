@@ -194,12 +194,7 @@ func SolveCTMCContext(ctx context.Context, n *Net, opt ReachOptions) (*CTMCResul
 	}
 	q := linalg.NewCSR(nStates, nStates, entries)
 
-	var pi []float64
-	if nStates <= 2000 {
-		pi, err = linalg.StationaryCTMCDirectContext(ctx, q)
-	} else {
-		pi, err = linalg.StationaryCTMCContext(ctx, q, linalg.GaussSeidelOptions{})
-	}
+	pi, err := linalg.Stationary(ctx, q)
 	if err != nil {
 		return nil, fmt.Errorf("petri: stationary solve over %d tangible markings: %w", nStates, err)
 	}

@@ -26,9 +26,10 @@ type Injection struct {
 // then finished produces a SimResult bit-identical to Compiled.Simulate
 // with the same options — session_test.go pins this equivalence.
 //
-// The zero Session is invalid; obtain one from Compiled.OpenSession. A
-// Session is not safe for concurrent use. Every Session must be ended with
-// exactly one Finish or Close call so its pooled engine is returned.
+// The zero Session is invalid; obtain one from Compiled.OpenSession or
+// Compiled.OpenSessions. A Session is not safe for concurrent use. Every
+// Session must be ended with exactly one Finish or Close call, which
+// releases its engine.
 type Session struct {
 	c    *Compiled
 	e    *engine
@@ -41,23 +42,62 @@ type Session struct {
 // [Warmup, Warmup+Duration], and the context is polled during event
 // processing. The net's initial vanishing chain is resolved and the initial
 // timers are scheduled before OpenSession returns, so the session starts at
-// a tangible marking at time 0.
+// a tangible marking at time 0. It is the n = 1 case of OpenSessions.
 func (c *Compiled) OpenSession(ctx context.Context, opt SimOptions) (*Session, error) {
-	if opt.Warmup < 0 {
-		return nil, fmt.Errorf("petri: SimOptions.Warmup must be non-negative, got %v", opt.Warmup)
-	}
-	e, err := c.acquireEngine(ctx, opt)
+	ss, err := c.OpenSessions(ctx, 1, func(int) SimOptions { return opt })
 	if err != nil {
 		return nil, err
 	}
-	if err := e.start(); err != nil {
-		c.releaseEngine(e)
-		return nil, err
+	return &ss[0], nil
+}
+
+// OpenSessions opens n sessions of the compiled net, session i with options
+// opt(i), each exactly as OpenSession would. opt is called once per session
+// in ascending i. Engines recycled by the net's pool are used first; the
+// rest are carved from one allocation per slice kind, and the sessions share
+// one backing array, so a field of thousands of nodes on one net opens with
+// a handful of allocations instead of a score per node. Engines carved for
+// more than one session are not pooled when their sessions end; they are
+// freed with their slab. On error every session opened so far is closed.
+func (c *Compiled) OpenSessions(ctx context.Context, n int, opt func(i int) SimOptions) ([]Session, error) {
+	if n < 0 {
+		return nil, fmt.Errorf("petri: OpenSessions: negative session count %d", n)
 	}
-	if e.opt.Warmup == 0 {
-		e.beginMeasurement()
+	ss := make([]Session, n)
+	var carved []engine
+	for i := range ss {
+		o := opt(i)
+		if err := o.validate(); err != nil {
+			return nil, closeAll(ss[:i], err)
+		}
+		var e *engine
+		if len(carved) == 0 {
+			if e, _ = c.enginePool.Get().(*engine); e == nil {
+				carved = newEngines(c, n-i)
+			}
+		}
+		if e == nil {
+			e, carved = &carved[0], carved[1:]
+		}
+		e.reset(ctx, o)
+		if err := e.start(); err != nil {
+			c.releaseEngine(e)
+			return nil, closeAll(ss[:i], err)
+		}
+		if o.Warmup == 0 {
+			e.beginMeasurement()
+		}
+		ss[i] = Session{c: c, e: e}
 	}
-	return &Session{c: c, e: e}, nil
+	return ss, nil
+}
+
+// closeAll closes every session in ss and returns err.
+func closeAll(ss []Session, err error) error {
+	for i := range ss {
+		ss[i].Close()
+	}
+	return err
 }
 
 // fail poisons the session with err, releasing the engine. All later calls
@@ -269,8 +309,8 @@ func (s *Session) applyDelta(p int32, d int) {
 // statistics at the horizon and returns the run's SimResult — the exact
 // result assembly of the closed-loop engine, including the deadlock
 // convention (an empty schedule means the final marking absorbs the
-// remaining time). The session's engine is returned to the pool; the
-// session cannot be used afterwards.
+// remaining time). The session's engine is released; the session cannot be
+// used afterwards.
 func (s *Session) Finish() (*SimResult, error) {
 	if err := s.active(); err != nil {
 		return nil, err
@@ -304,9 +344,8 @@ func (s *Session) Finish() (*SimResult, error) {
 	return res, nil
 }
 
-// Close abandons the session without producing a result, returning its
-// engine to the pool. It is a no-op after Finish, Close or a poisoning
-// error.
+// Close abandons the session without producing a result, releasing its
+// engine. It is a no-op after Finish, Close or a poisoning error.
 func (s *Session) Close() {
 	if s.done {
 		return

@@ -112,9 +112,6 @@ func (c *Compiled) Simulate(opt SimOptions) (*SimResult, error) {
 // SimulateContext is Compiled.Simulate with cooperative cancellation; see
 // the package-level SimulateContext.
 func (c *Compiled) SimulateContext(ctx context.Context, opt SimOptions) (*SimResult, error) {
-	if opt.Warmup < 0 {
-		return nil, fmt.Errorf("petri: SimOptions.Warmup must be non-negative, got %v", opt.Warmup)
-	}
 	e, err := c.acquireEngine(ctx, opt)
 	if err != nil {
 		return nil, err
@@ -127,7 +124,7 @@ func (c *Compiled) SimulateContext(ctx context.Context, opt SimOptions) (*SimRes
 // costs work proportional to what it changes: the fired transition's arcs,
 // the transitions adjacent to the touched places, and the heap reshuffles —
 // never the size of the whole net. The steady-state loop performs no heap
-// allocations; all scratch buffers are preallocated in newEngine, and the
+// allocations; all scratch buffers are preallocated in newEngines, and the
 // whole engine is recycled between runs through the compiled net's pool
 // (acquireEngine resets it in place instead of reallocating).
 type engine struct {
@@ -173,7 +170,10 @@ type engine struct {
 	heap    []timerNode
 	heapPos []int32
 	linear  bool
-	nSched  int
+	// shared marks an engine carved from a slab together with others (see
+	// newEngines); releaseEngine does not pool it.
+	shared bool
+	nSched int
 
 	// unsat[t] counts the unsatisfied enabling conditions of unguarded
 	// single-server transition t (inputs below weight, inhibitors at or
@@ -250,16 +250,24 @@ const cancelCheckStride = 512
 // order on every schedule/unschedule; past it the heap's O(log n) wins.
 const linearSchedulerMax = 16
 
+// validate rejects options no run can start from.
+func (o SimOptions) validate() error {
+	if o.Warmup < 0 {
+		return fmt.Errorf("petri: SimOptions.Warmup must be non-negative, got %v", o.Warmup)
+	}
+	if o.Duration <= 0 {
+		return fmt.Errorf("petri: duration must be positive, got %v", o.Duration)
+	}
+	return nil
+}
+
 // acquireEngine validates the options and returns a run-ready engine for
 // the compiled net: a recycled one from the pool when available, a freshly
 // allocated one otherwise. Callers must return it with releaseEngine once
 // the run's results have been copied out.
 func (c *Compiled) acquireEngine(ctx context.Context, opt SimOptions) (*engine, error) {
-	if opt.Duration <= 0 {
-		return nil, fmt.Errorf("petri: duration must be positive, got %v", opt.Duration)
-	}
-	if opt.MaxVanishingChain == 0 {
-		opt.MaxVanishingChain = 100000
+	if err := opt.validate(); err != nil {
+		return nil, err
 	}
 	if e, ok := c.enginePool.Get().(*engine); ok {
 		e.reset(ctx, opt)
@@ -272,46 +280,81 @@ func (c *Compiled) acquireEngine(ctx context.Context, opt SimOptions) (*engine, 
 // scratch state may be reused by any later acquireEngine, so results must
 // not alias engine-owned slices (run copies them out). The context is
 // dropped eagerly: an idle pooled engine must not pin a finished run's
-// request-scoped values or cancel chain.
+// request-scoped values or cancel chain. An engine that shares its slab
+// with others is left to the garbage collector instead: pooling it would
+// keep the whole slab alive.
 func (c *Compiled) releaseEngine(e *engine) {
 	e.ctx = nil
-	c.enginePool.Put(e)
+	if !e.shared {
+		c.enginePool.Put(e)
+	}
 }
 
-// newEngine allocates the scratch state of an engine over a compiled net
-// and resets it for a first run. Options must be pre-validated
-// (acquireEngine is the only caller besides tests).
+// newEngine allocates the scratch state of one engine over a compiled net
+// and resets it for a first run — the n = 1 case of newEngines. Options
+// must be pre-validated (acquireEngine is the only caller besides tests).
 func newEngine(c *Compiled, ctx context.Context, opt SimOptions) *engine {
-	n := c.net
-	nT := len(n.Transitions)
-	nP := len(n.Places)
+	e := &newEngines(c, 1)[0]
+	e.reset(ctx, opt)
+	return e
+}
+
+// slab hands out consecutive windows of one allocation. Each window's
+// capacity is capped at its length, so an append past it reallocates
+// instead of running into the next window.
+type slab[T any] []T
+
+func (s *slab[T]) take(n int) []T {
+	w := (*s)[:n:n]
+	*s = (*s)[n:]
+	return w
+}
+
+// newEngines allocates the scratch state of n engines over a compiled net:
+// one allocation per element type, from which every engine's slices are
+// carved. Growable buffers (heap, dirty, candTimed, immScratch) are carved
+// empty with their share as capacity, so the engines never share memory
+// however their buffers grow. The engines still need a reset before use.
+func newEngines(c *Compiled, n int) []engine {
+	net := c.net
+	nT, nP, nTimed, nG := len(net.Transitions), len(net.Places), len(c.timed), len(c.groups)
 	maxGroup := 0
 	for _, g := range c.groups {
 		if len(g.members) > maxGroup {
 			maxGroup = len(g.members)
 		}
 	}
-	e := &engine{
-		comp:         c,
-		net:          n,
-		marking:      make(Marking, nP),
-		fireAt:       make([]float64, nT),
-		remain:       make([]float64, nT),
-		degree:       make([]int, nT),
-		heap:         make([]timerNode, 0, len(c.timed)),
-		heapPos:      make([]int32, nT),
-		unsat:        make([]int32, nT),
-		guardEnabled: make([]bool, nT),
-		groupLive:    make([]int32, len(c.groups)),
-		dirty:        make([]int32, 0, 4*nP),
-		candTimed:    make([]int32, 0, 4*len(c.timed)),
-		immScratch:   make([]int32, 0, maxGroup),
-		pstats:       make([]placeStat, nP),
-		firings:      make([]uint64, nT),
-		linear:       len(c.timed) <= linearSchedulerMax,
+	ints := make(slab[int], n*(nP+nT))
+	floats := make(slab[float64], n*2*nT)
+	int32s := make(slab[int32], n*(2*nT+nG+4*nP+4*nTimed+maxGroup))
+	bools := make(slab[bool], n*nT)
+	counts := make(slab[uint64], n*nT)
+	pstats := make(slab[placeStat], n*nP)
+	timers := make(slab[timerNode], n*nTimed)
+	es := make([]engine, n)
+	for i := range es {
+		es[i] = engine{
+			comp:         c,
+			net:          net,
+			marking:      ints.take(nP),
+			degree:       ints.take(nT),
+			fireAt:       floats.take(nT),
+			remain:       floats.take(nT),
+			heap:         timers.take(nTimed)[:0],
+			heapPos:      int32s.take(nT),
+			unsat:        int32s.take(nT),
+			guardEnabled: bools.take(nT),
+			groupLive:    int32s.take(nG),
+			dirty:        int32s.take(4 * nP)[:0],
+			candTimed:    int32s.take(4 * nTimed)[:0],
+			immScratch:   int32s.take(maxGroup)[:0],
+			pstats:       pstats.take(nP),
+			firings:      counts.take(nT),
+			linear:       nTimed <= linearSchedulerMax,
+			shared:       n > 1,
+		}
 	}
-	e.reset(ctx, opt)
-	return e
+	return es
 }
 
 // reset rewinds an engine to the exact state newEngine produces for the
