@@ -66,6 +66,48 @@ func TestWsnenergyUnknownExperiment(t *testing.T) {
 	}
 }
 
+// TestWsnenergyRejectsUnknownSubcommand: a word the subcommand switch does
+// not know — a typo, or `shard`, which serve/work/sweep cover — fails
+// loudly instead of running the whole experiment suite.
+func TestWsnenergyRejectsUnknownSubcommand(t *testing.T) {
+	for _, args := range [][]string{
+		{"bogus"},
+		{"shard", "plan", "-experiment", "table4", "-shards", "2"},
+	} {
+		out := runCLIExpectError(t, "wsnenergy", args...)
+		if want := `unknown subcommand "` + args[0] + `"`; !strings.Contains(out, want) {
+			t.Fatalf("wsnenergy %v: missing %q:\n%s", args, want, out)
+		}
+	}
+}
+
+// TestWsnenergyRejectsStrayArgument: a positional argument after the flags
+// is an error, not silently dropped, at the top level and in a subcommand.
+func TestWsnenergyRejectsStrayArgument(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-experiment", "table3", "extra"}, `unknown subcommand "extra"`},
+		{[]string{"field", "-nodes", "5", "extra"}, `field: unexpected argument "extra"`},
+	} {
+		out := runCLIExpectError(t, "wsnenergy", tc.args...)
+		if !strings.Contains(out, tc.want) {
+			t.Fatalf("wsnenergy %v: missing %q:\n%s", tc.args, tc.want, out)
+		}
+	}
+}
+
+// TestWsnenergySweepRejectsNonGridExperiment: only the grid artifacts can
+// be submitted to the sweep service; the client refuses the rest before it
+// contacts the coordinator.
+func TestWsnenergySweepRejectsNonGridExperiment(t *testing.T) {
+	out := runCLIExpectError(t, "wsnenergy", "sweep", "-join", "http://127.0.0.1:1", "-experiment", "table1")
+	if !strings.Contains(out, "not a shardable sweep") {
+		t.Fatalf("missing shardability error:\n%s", out)
+	}
+}
+
 func TestWsnenergyRejectsUnstableConfig(t *testing.T) {
 	out := runCLIExpectError(t, "wsnenergy", "-lambda", "20", "-mu", "10", "-experiment", "table2")
 	if !strings.Contains(out, "unstable") {

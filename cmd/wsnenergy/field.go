@@ -13,7 +13,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"math"
 	"os"
@@ -29,7 +28,7 @@ import (
 )
 
 func fieldMain(args []string) {
-	fs := flag.NewFlagSet("wsnenergy field", flag.ExitOnError)
+	fs := newFlagSet("field")
 	var (
 		nodes    = fs.Int("nodes", 100, "number of nodes in the field")
 		topology = fs.String("topology", "tree", "topology: line, star or tree")
@@ -43,9 +42,7 @@ func fieldMain(args []string) {
 		top      = fs.Int("top", 10, "per-node table rows (hottest nodes first)")
 		format   = fs.String("format", "text", "output format: text, csv or md")
 	)
-	if err := fs.Parse(args); err != nil {
-		fatal(err)
-	}
+	parseFlags(fs, args)
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 	if err := fieldRun(ctx, *nodes, *topology, *fanout, *rate, *spacing, *simTime, *warmup, *seed, *battery, *top, *format); err != nil {

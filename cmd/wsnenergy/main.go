@@ -12,20 +12,14 @@
 // Experiments: table1 table2 table3 fig4 fig5 table4 table5
 // erlang policy workload ctmc lifetime fieldlife fieldbreakdown fielddeath all
 //
-// The sweep artifacts (fig4, fig5, table4, table5) can also be split
-// across worker processes with the `shard` subcommand — see shard.go:
-//
-//	wsnenergy shard plan  -experiment table4 -shards 4 -out plan.json
-//	wsnenergy shard run   -plan plan.json -shard 0 -cache cachedir -out r0.json
-//	wsnenergy shard merge -plan plan.json r0.json r1.json r2.json r3.json
-//
 // Whole sensor fields are simulated with the `field` subcommand — see
 // field.go:
 //
 //	wsnenergy field -nodes 100 -topology tree -rate 0.5
 //
-// Sweeps can also run as a long-lived coordinator/worker service with the
-// `serve`, `work` and `sweep` subcommands — see sweepd.go:
+// The sweep artifacts (fig4, fig5, table4, table5) can also be spread
+// across worker processes, on one machine or many, with the `serve`,
+// `work` and `sweep` subcommands — see sweepd.go:
 //
 //	wsnenergy serve -listen 127.0.0.1:8080
 //	wsnenergy work  -join http://127.0.0.1:8080
@@ -46,10 +40,11 @@ import (
 )
 
 // modelFlags groups the model-configuration flags shared by the direct
-// experiment runner and `shard plan`, so a plan built from the same flag
-// values parameterizes exactly the sweep a direct run would evaluate.
-// Execution-local knobs (-parallel) are deliberately not model flags: a
-// plan records what to compute, each process decides how hard to run it.
+// experiment runner and the `sweep` client, so a sweep submitted with the
+// same flag values parameterizes exactly the grid a direct run would
+// evaluate. Execution-local knobs (-parallel) are deliberately not model
+// flags: a manifest records what to compute, each process decides how
+// hard to run it.
 type modelFlags struct {
 	lambda, mu, pdt, pud, simTime, warmup *float64
 	reps                                  *int
@@ -94,25 +89,22 @@ func (m *modelFlags) options() (experiments.Options, error) {
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "shard" {
-		shardMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "field" {
-		fieldMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "serve" {
-		serveMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "work" {
-		workMain(os.Args[2:])
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "sweep" {
-		sweepMain(os.Args[2:])
-		return
+	if len(os.Args) > 1 {
+		args := os.Args[2:]
+		switch os.Args[1] {
+		case "field":
+			fieldMain(args)
+			return
+		case "serve":
+			serveMain(args)
+			return
+		case "work":
+			workMain(args)
+			return
+		case "sweep":
+			sweepMain(args)
+			return
+		}
 	}
 	var (
 		experiment = flag.String("experiment", "all", "which artifact to regenerate (table1..table5, fig4, fig5, erlang, policy, workload, ctmc, lifetime, all)")
@@ -123,6 +115,12 @@ func main() {
 		chartH     = flag.Int("chartheight", 20, "ASCII chart height")
 	)
 	flag.Parse()
+	// flag.Parse stops at the first non-flag argument; anything left over
+	// is a mistyped subcommand or a stray argument, never something to
+	// ignore.
+	if flag.NArg() > 0 {
+		fatal(fmt.Errorf("unknown subcommand %q (want field, serve, work or sweep, or only flags to run experiments)", flag.Arg(0)))
+	}
 
 	// Ctrl-C aborts sweeps mid-replication via the Runner's context: the
 	// cancellation reaches the simulation event loops, not just the

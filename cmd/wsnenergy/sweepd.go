@@ -24,6 +24,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -31,10 +32,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"strings"
 	"syscall"
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/experiments"
 	"repro/internal/shard"
 	"repro/internal/sweepd"
 )
@@ -267,8 +270,8 @@ func runSweep(ctx context.Context, client *sweepd.Client, m *shard.Manifest, par
 }
 
 // renderSweep fetches a completed sweep's results and renders the artifact
-// through the same local merge `shard merge` uses, re-validating the
-// stream against the submitted manifest on the way.
+// through the shard package's merge, re-validating the stream against the
+// submitted manifest on the way.
 func renderSweep(client *sweepd.Client, m *shard.Manifest, id, format string, chartW, chartH int) error {
 	resp, err := client.SweepResults(id)
 	if err != nil {
@@ -285,12 +288,112 @@ func renderSweep(client *sweepd.Client, m *shard.Manifest, id, format string, ch
 	return renderExperiment(m, results, format, chartW, chartH)
 }
 
+// sweepExtra is the coordinator context stored in the manifest's Extra
+// field: the sweep axes the merge-time renderer needs.
+type sweepExtra struct {
+	PDTs []float64 `json:"pdts"`
+	PUDs []float64 `json:"puds"`
+}
+
+// buildManifest plans an artifact's scenario grid into the manifest the
+// `sweep` client submits.
+func buildManifest(experiment string, shards int, opt experiments.Options) (*shard.Manifest, error) {
+	scenarios, err := experiments.GridScenarios(experiment, opt)
+	if err != nil {
+		return nil, err
+	}
+	spec := shard.RunnerSpec{
+		Base: opt.Base,
+		// The in-process sweeps do not set an explicit master seed, so the
+		// Runner defaults it to the base configuration's: workers must do
+		// the same for merged output to match a single-process run.
+		Seed: opt.Base.Seed,
+		// The estimator set of every sweep artifact, recorded by spec so
+		// workers resolve the identical list through the registry.
+		Methods:     core.MethodSpecs(),
+		DeriveSeeds: true,
+	}
+	m, err := shard.NewManifest(experiment, spec, scenarios, shards)
+	if err != nil {
+		return nil, err
+	}
+	if m.Extra, err = json.Marshal(sweepExtra{PDTs: opt.PDTs, PUDs: opt.PUDs}); err != nil {
+		return nil, err
+	}
+	return m, nil
+}
+
+// renderExperiment renders a sweep artifact from merged results, using the
+// manifest to reconstruct the renderer's options, so the output is
+// byte-identical to the same artifact run in one process.
+func renderExperiment(m *shard.Manifest, results []core.Result, format string, chartW, chartH int) error {
+	opt, err := mergeOptions(m)
+	if err != nil {
+		return err
+	}
+	switch m.Experiment {
+	case "fig4":
+		fig, err := experiments.Figure4FromResults(opt, results)
+		if err != nil {
+			return err
+		}
+		return emitFigure(fig, format, chartW, chartH)
+	case "fig5":
+		fig, err := experiments.Figure5FromResults(opt, results)
+		if err != nil {
+			return err
+		}
+		return emitFigure(fig, format, chartW, chartH)
+	case "table4":
+		t, err := experiments.Table4FromResults(opt, results)
+		if err != nil {
+			return err
+		}
+		return emitTable(t, format)
+	case "table5":
+		t, err := experiments.Table5FromResults(opt, results)
+		if err != nil {
+			return err
+		}
+		return emitTable(t, format)
+	default:
+		return fmt.Errorf("manifest plans unknown experiment %q", m.Experiment)
+	}
+}
+
+// mergeOptions reconstructs the experiment options a renderer needs from
+// the manifest: the shared base config, the sweep axes from Extra, and the
+// estimators resolved from the Runner spec.
+func mergeOptions(m *shard.Manifest) (experiments.Options, error) {
+	var extra sweepExtra
+	if len(m.Extra) == 0 {
+		return experiments.Options{}, fmt.Errorf("manifest carries no sweep axes (written by an incompatible planner?)")
+	}
+	if err := json.Unmarshal(m.Extra, &extra); err != nil {
+		return experiments.Options{}, fmt.Errorf("decoding manifest sweep axes: %w", err)
+	}
+	ests, err := core.NewEstimators(m.Runner.Methods...)
+	if err != nil {
+		return experiments.Options{}, err
+	}
+	return experiments.Options{
+		Base:       m.Runner.Base,
+		PDTs:       extra.PDTs,
+		PUDs:       extra.PUDs,
+		Estimators: ests,
+	}, nil
+}
+
 // newFlagSet builds a subcommand flag set that exits on parse errors.
 func newFlagSet(name string) *flag.FlagSet {
 	return flag.NewFlagSet("wsnenergy "+name, flag.ExitOnError)
 }
 
-// parseFlags parses or dies; ExitOnError flag sets only return nil.
+// parseFlags parses or dies: ExitOnError flag sets exit on a bad flag,
+// and a positional argument left over is refused rather than ignored.
 func parseFlags(fs *flag.FlagSet, args []string) {
 	_ = fs.Parse(args)
+	if fs.NArg() > 0 {
+		fatal(fmt.Errorf("%s: unexpected argument %q", strings.TrimPrefix(fs.Name(), "wsnenergy "), fs.Arg(0)))
+	}
 }

@@ -18,6 +18,17 @@ import (
 	_ "repro/internal/field"
 )
 
+// compareMethods runs the paper's three methods on one configuration
+// through a Runner, with the configuration's own seed used verbatim.
+func compareMethods(cfg repro.Config) ([]*repro.Estimate, error) {
+	r, err := repro.New(repro.WithConfig(cfg), repro.WithEstimators(repro.Methods()...), repro.WithSeedDerivation(false))
+	if err != nil {
+		return nil, err
+	}
+	res, err := r.Run(context.Background(), repro.Scenario{})
+	return res.Estimates, err
+}
+
 func TestFacadePaperConfig(t *testing.T) {
 	cfg := repro.PaperConfig()
 	if err := cfg.Validate(); err != nil {
@@ -33,7 +44,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	cfg.SimTime = 500
 	cfg.Warmup = 50
 	cfg.Replications = 3
-	ests, err := repro.CompareAll(cfg, repro.Methods())
+	ests, err := compareMethods(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +82,7 @@ func TestPaperShapeEndToEnd(t *testing.T) {
 	}
 
 	for name, cfg := range map[string]repro.Config{"small": small, "large": large} {
-		ests, err := repro.CompareAll(cfg, repro.Methods())
+		ests, err := compareMethods(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -183,7 +194,7 @@ func TestEnergyMonotoneInPDTEndToEnd(t *testing.T) {
 		cfg.PDT = pdt
 		cfg.SimTime = 2000
 		cfg.Replications = 5
-		ests, err := repro.CompareAll(cfg, repro.Methods())
+		ests, err := compareMethods(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -22,16 +23,16 @@ import (
 // Figure 5 run the same PDT×PUD sweep, Tables 4 and 5 repeat it per PUD —
 // and separate Runners are no obstacle to sharing: equal effective configs
 // mean equal results regardless of which Runner computed them. Nor are
-// separate processes: a sweep sharded across workers (internal/shard,
-// `wsnenergy shard`) shares one FileBackend so no grid point is simulated
-// twice across the fleet.
+// separate processes: the workers of a sweep-service fleet (internal/sweepd)
+// share the coordinator's cache, or one FileBackend directory, so no grid
+// point is simulated twice across the fleet.
 //
 // The cache is therefore pluggable behind CacheBackend, keyed by CacheKey:
 // the full config value plus the estimator's method name and concrete Go
 // type (the type guards against two unrelated estimators that happen to
 // share a Name; two estimators of the same type whose Name hides differing
 // behavior must opt out via WithCache(false)). The default backend is a
-// process-wide in-memory map bounded with epoch eviction.
+// process-wide in-memory map bounded by LRU eviction.
 
 // CacheKeyVersion is the schema version of the canonical key encoding.
 // Bump it whenever the wire shape of CacheKey (including Config's field
@@ -130,7 +131,7 @@ type CacheStats struct {
 	// shared stores, hits are counted per process, not globally).
 	Hits uint64
 	// Evictions counts entries dropped by the backend's bounding policy
-	// (LRU eviction, epoch eviction); unbounded backends report 0.
+	// (the MemoryBackend's LRU eviction); unbounded backends report 0.
 	Evictions uint64
 }
 
@@ -153,61 +154,79 @@ type CacheBackend interface {
 	Stats() (CacheStats, error)
 }
 
-// estimateCacheMax bounds the number of memoized results in a
-// MemoryBackend (~64k entries; an Estimate is a small value struct).
-const estimateCacheMax = 1 << 16
+// defaultMemoryEntries bounds a MemoryBackend whose MaxEntries is unset
+// (~64k entries; an Estimate is a small value struct).
+const defaultMemoryEntries = 1 << 16
 
 // MemoryBackend is the default CacheBackend: a process-local map bounded
-// by epoch eviction. When the entry count reaches its cap, the map is
-// dropped wholesale and the current workload repopulates it — long-running
-// sweep services keep memoizing their recent grid instead of being pinned
-// to the first 64k points.
+// by least-recently-used eviction. When a Put would exceed the bound, the
+// entry that has gone longest without a Get or Put is dropped and counted
+// in CacheStats.Evictions, so a long-lived sweep coordinator keeps the
+// working set of the sweeps in flight warm while old grids age out.
+//
+// The zero value is an empty backend with the default bound. All methods
+// are safe for concurrent use.
 type MemoryBackend struct {
+	// MaxEntries bounds the resident entries (non-positive: 65536). Set
+	// it before first use.
+	MaxEntries int
+
 	mu     sync.Mutex
-	m      map[CacheKey]Estimate
+	ll     *list.List // of *memEntry, front = most recently used
+	m      map[CacheKey]*list.Element
 	hits   uint64
 	evicts uint64
-	max    int
+}
+
+// memEntry is one resident cache entry (the list element value).
+type memEntry struct {
+	key CacheKey
+	est Estimate
 }
 
 // NewMemoryBackend returns an empty in-memory backend with the default
 // entry bound.
-func NewMemoryBackend() *MemoryBackend {
-	return &MemoryBackend{m: make(map[CacheKey]Estimate), max: estimateCacheMax}
-}
+func NewMemoryBackend() *MemoryBackend { return &MemoryBackend{} }
 
-// Get implements CacheBackend. Estimate carries no reference types, so the
-// returned value copy keeps the cache immune to caller mutation.
+// Get implements CacheBackend; a hit refreshes the entry's recency.
+// Estimate carries no reference types, so the returned value copy keeps
+// the cache immune to caller mutation.
 func (b *MemoryBackend) Get(key CacheKey) (Estimate, bool, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	est, ok := b.m[key]
+	el, ok := b.m[key]
 	if !ok {
 		return Estimate{}, false, nil
 	}
+	b.ll.MoveToFront(el)
 	b.hits++
-	return est, true, nil
+	return el.Value.(*memEntry).est, true, nil
 }
 
-// Put implements CacheBackend. A zero-value MemoryBackend works too: the
-// map is allocated lazily and an unset bound means the default, so direct
-// struct construction cannot silently degrade to a one-entry cache.
+// Put implements CacheBackend, evicting the least recently used entry when
+// the backend is full.
 func (b *MemoryBackend) Put(key CacheKey, est Estimate) error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	max := b.max
+	if el, ok := b.m[key]; ok {
+		el.Value.(*memEntry).est = est
+		b.ll.MoveToFront(el)
+		return nil
+	}
+	if b.ll == nil {
+		b.resetLocked()
+	}
+	max := b.MaxEntries
 	if max <= 0 {
-		max = estimateCacheMax
+		max = defaultMemoryEntries
 	}
-	if len(b.m) >= max {
-		// Epoch eviction: drop everything and let the workload repopulate.
-		b.evicts += uint64(len(b.m))
-		b.m = nil
+	for b.ll.Len() >= max {
+		oldest := b.ll.Back()
+		b.ll.Remove(oldest)
+		delete(b.m, oldest.Value.(*memEntry).key)
+		b.evicts++
 	}
-	if b.m == nil {
-		b.m = make(map[CacheKey]Estimate)
-	}
-	b.m[key] = est
+	b.m[key] = b.ll.PushFront(&memEntry{key: key, est: est})
 	return nil
 }
 
@@ -215,10 +234,16 @@ func (b *MemoryBackend) Put(key CacheKey, est Estimate) error {
 func (b *MemoryBackend) Reset() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	b.m = make(map[CacheKey]Estimate)
+	b.resetLocked()
 	b.hits = 0
 	b.evicts = 0
 	return nil
+}
+
+// resetLocked drops every entry; the caller holds b.mu.
+func (b *MemoryBackend) resetLocked() {
+	b.ll = list.New()
+	b.m = make(map[CacheKey]*list.Element)
 }
 
 // Stats implements CacheBackend.

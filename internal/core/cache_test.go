@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -246,34 +247,114 @@ func TestMemoryBackendBasics(t *testing.T) {
 	}
 }
 
-// TestMemoryBackendEpochEviction: hitting the entry bound drops the whole
-// epoch rather than refusing new entries.
-func TestMemoryBackendEpochEviction(t *testing.T) {
-	b := &MemoryBackend{m: make(map[CacheKey]Estimate), max: 3}
-	mk := func(i int) CacheKey {
-		cfg := PaperConfig()
-		cfg.Seed = uint64(i)
-		return CacheKey{Config: cfg, Method: "m", Estimator: "e"}
-	}
+// lruKey builds a distinct cache key per index.
+func lruKey(i int) CacheKey {
+	cfg := Config{Lambda: 1, Mu: 2, PDT: float64(i + 1)}
+	return CacheKey{Config: cfg, Method: "markov", Estimator: "test.Estimator"}
+}
+
+// TestLRUBackendEviction: a full MemoryBackend drops the least recently
+// used entry, one at a time, and counts it.
+func TestLRUBackendEviction(t *testing.T) {
+	b := &MemoryBackend{MaxEntries: 3}
 	for i := 0; i < 3; i++ {
-		if err := b.Put(mk(i), Estimate{EnergyJ: float64(i)}); err != nil {
+		if err := b.Put(lruKey(i), Estimate{EnergyJ: float64(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// The 4th insert crosses the bound: the epoch resets and only the new
-	// entry survives.
-	if err := b.Put(mk(3), Estimate{EnergyJ: 3}); err != nil {
+	// Touch key 0 so key 1 is the least recently used.
+	if _, ok, _ := b.Get(lruKey(0)); !ok {
+		t.Fatal("key 0 missing before eviction")
+	}
+	if err := b.Put(lruKey(3), Estimate{EnergyJ: 3}); err != nil {
 		t.Fatal(err)
 	}
-	st, _ := b.Stats()
-	if st.Entries != 1 {
-		t.Fatalf("after eviction: %d entries, want 1", st.Entries)
+	if _, ok, _ := b.Get(lruKey(1)); ok {
+		t.Fatal("least recently used key survived eviction")
 	}
-	if _, ok, _ := b.Get(mk(3)); !ok {
-		t.Fatal("the entry that triggered eviction was not stored")
+	for _, i := range []int{0, 2, 3} {
+		if est, ok, _ := b.Get(lruKey(i)); !ok || est.EnergyJ != float64(i) {
+			t.Fatalf("key %d = (%+v, %v), want resident", i, est, ok)
+		}
 	}
-	if _, ok, _ := b.Get(mk(0)); ok {
-		t.Fatal("evicted entry still present")
+	s, err := b.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Entries != 3 || s.Evictions != 1 {
+		t.Fatalf("stats = %+v, want 3 entries, 1 eviction", s)
+	}
+
+	// Updating a resident key evicts nothing and refreshes its recency.
+	if err := b.Put(lruKey(2), Estimate{EnergyJ: 22}); err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := b.Stats(); s.Entries != 3 || s.Evictions != 1 {
+		t.Fatalf("update-in-place changed bounds: %+v", s)
+	}
+	if est, ok, _ := b.Get(lruKey(2)); !ok || est.EnergyJ != 22 {
+		t.Fatalf("update-in-place lost the new value: (%+v, %v)", est, ok)
+	}
+
+	if err := b.Reset(); err != nil {
+		t.Fatal(err)
+	}
+	if s, _ := b.Stats(); s.Entries != 0 || s.Hits != 0 || s.Evictions != 0 {
+		t.Fatalf("reset left state behind: %+v", s)
+	}
+}
+
+// TestLRUBackendDefaultBound: an unset or non-positive MaxEntries bounds
+// the backend at the default, evicting exactly past it.
+func TestLRUBackendDefaultBound(t *testing.T) {
+	for _, b := range []*MemoryBackend{NewMemoryBackend(), {MaxEntries: -1}} {
+		for i := 0; i <= defaultMemoryEntries; i++ {
+			if err := b.Put(lruKey(i), Estimate{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if s, _ := b.Stats(); s.Entries != defaultMemoryEntries || s.Evictions != 1 {
+			t.Fatalf("MaxEntries %d: stats = %+v, want %d entries, 1 eviction", b.MaxEntries, s, defaultMemoryEntries)
+		}
+	}
+}
+
+// TestLRUEvictionsOverHTTP: the eviction counter of a server-side bounded
+// backend is visible through the cache wire protocol's /stats.
+func TestLRUEvictionsOverHTTP(t *testing.T) {
+	backend := &MemoryBackend{MaxEntries: 2}
+	srv := httptest.NewServer(CacheHandler(backend))
+	defer srv.Close()
+	remote, err := NewHTTPBackend(srv.URL, srv.Client())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := remote.Put(lruKey(i), Estimate{EnergyJ: float64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s, err := remote.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.Entries != 2 || s.Evictions != 2 {
+		t.Fatalf("remote stats = %+v, want 2 entries, 2 evictions", s)
+	}
+	// The wire shape reports evictions explicitly.
+	resp, err := srv.Client().Get(srv.URL + "/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var wire struct {
+		Evictions uint64 `json:"evictions"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+		t.Fatal(err)
+	}
+	if wire.Evictions != 2 {
+		t.Fatalf("wire evictions = %d, want 2", wire.Evictions)
 	}
 }
 

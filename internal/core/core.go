@@ -225,31 +225,3 @@ func Methods() []Estimator {
 	}
 	return ests
 }
-
-// CompareAll runs every estimator on the same configuration; see
-// CompareAllContext.
-func CompareAll(cfg Config, ests []Estimator) ([]*Estimate, error) {
-	return CompareAllContext(context.Background(), cfg, ests)
-}
-
-// CompareAllContext runs every estimator on the same configuration through
-// the Runner — the single scenario-evaluation code path — so one-off
-// comparisons share the worker pool, the process-wide result cache, and
-// cancellation with batch sweeps. The configuration's own Seed is used
-// verbatim (no per-scenario seed derivation), preserving the historical
-// CompareAll contract that equal configs reproduce bit-identical results.
-func CompareAllContext(ctx context.Context, cfg Config, ests []Estimator) ([]*Estimate, error) {
-	r, err := NewRunner(
-		WithConfig(cfg),
-		WithEstimators(ests...),
-		WithSeedDerivation(false),
-	)
-	if err != nil {
-		return nil, err
-	}
-	res, err := r.Run(ctx, Scenario{})
-	if err != nil {
-		return nil, err
-	}
-	return res.Estimates, nil
-}

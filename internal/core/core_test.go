@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -263,7 +262,7 @@ func quickCfg(pdt, pud float64) Config {
 // PUD = 0.001 all three methods agree on the steady-state percentages.
 func TestThreeWayAgreementSmallD(t *testing.T) {
 	cfg := quickCfg(0.5, 0.001)
-	ests, err := CompareAll(cfg, Methods())
+	ests, err := compareMethods(cfg, Methods())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +288,7 @@ func TestThreeWayAgreementSmallD(t *testing.T) {
 // while the Petri net stays close.
 func TestMarkovDivergesAtLargeD(t *testing.T) {
 	cfg := quickCfg(0.5, 10)
-	ests, err := CompareAll(cfg, Methods())
+	ests, err := compareMethods(cfg, Methods())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,17 +397,28 @@ func TestEstimatorsRejectInvalidConfig(t *testing.T) {
 	}
 }
 
-func TestCompareAllPropagatesError(t *testing.T) {
+// compareMethods runs every estimator on one configuration through a
+// Runner, with the configuration's own seed used verbatim.
+func compareMethods(cfg Config, ests []Estimator) ([]*Estimate, error) {
+	r, err := NewRunner(WithConfig(cfg), WithEstimators(ests...), WithSeedDerivation(false))
+	if err != nil {
+		return nil, err
+	}
+	res, err := r.Run(context.Background(), Scenario{})
+	return res.Estimates, err
+}
+
+func TestRunnerPropagatesError(t *testing.T) {
 	// Invalid configurations fail fast at Runner construction, before any
 	// estimator runs.
 	bad := PaperConfig()
 	bad.SimTime = -1
-	if _, err := CompareAll(bad, Methods()); err == nil || !strings.Contains(err.Error(), "SimTime") {
+	if _, err := compareMethods(bad, Methods()); err == nil || !strings.Contains(err.Error(), "SimTime") {
 		t.Fatalf("want config validation error, got %v", err)
 	}
 	// Estimator-level failures keep the estimator's name in the error.
 	failing := AdaptEstimator(failingEstimator{})
-	if _, err := CompareAll(PaperConfig(), []Estimator{failing}); err == nil ||
+	if _, err := compareMethods(PaperConfig(), []Estimator{failing}); err == nil ||
 		!strings.Contains(err.Error(), "Failing") {
 		t.Fatalf("want wrapped estimator error, got %v", err)
 	}
@@ -421,16 +431,6 @@ func (failingEstimator) Name() string { return "Failing" }
 
 func (failingEstimator) Estimate(cfg Config) (*Estimate, error) {
 	return nil, fmt.Errorf("deliberate failure")
-}
-
-// TestCompareAllObservesCancellation pins the deprecated-shim fix: the
-// one-off comparison path must flow through the context-aware Runner.
-func TestCompareAllObservesCancellation(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := CompareAllContext(ctx, PaperConfig(), Methods()); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled CompareAllContext returned %v, want context.Canceled", err)
-	}
 }
 
 func TestEstimateFractionsSumToOne(t *testing.T) {

@@ -1,25 +1,31 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/energy"
 )
 
-// ExampleCompareAll runs the paper's three methods on one configuration.
-func ExampleCompareAll() {
+// ExampleRunner_Run runs the paper's three methods on one configuration,
+// with the configuration's own seed used verbatim.
+func ExampleRunner_Run() {
 	cfg := core.PaperConfig()
 	cfg.PDT = 0.5
 	cfg.PUD = 0.001
 	cfg.SimTime = 2000
 	cfg.Replications = 5
 
-	ests, err := core.CompareAll(cfg, core.Methods())
+	r, err := core.NewRunner(core.WithConfig(cfg), core.WithEstimators(core.Methods()...), core.WithSeedDerivation(false))
 	if err != nil {
 		panic(err)
 	}
-	for _, e := range ests {
+	res, err := r.Run(context.Background(), core.Scenario{})
+	if err != nil {
+		panic(err)
+	}
+	for _, e := range res.Estimates {
 		fmt.Printf("%-10s active %.2f\n", e.Method, e.Fractions[energy.Active])
 	}
 	// Output:

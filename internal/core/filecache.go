@@ -15,9 +15,11 @@ import (
 )
 
 // FileBackend is a CacheBackend over a directory of one-file-per-entry
-// JSON records, shareable by concurrent processes: the shard workers of a
-// split sweep (`wsnenergy shard run`) point at one cache directory and
-// each grid point is simulated by whichever worker reaches it first.
+// JSON records, shareable by concurrent processes: workers of one sweep
+// (`wsnenergy work -local-cache`) can point at one cache directory, and
+// each grid point is simulated by whichever worker reaches it first. It
+// also backs the coordinator's shared cache under `wsnenergy serve -cache`
+// and `serve -state-dir`.
 //
 // Entries are written atomically (temp file + rename on the same
 // filesystem), so readers never observe a partial record; concurrent

@@ -328,8 +328,8 @@ func WithCache(enabled bool) RunnerOption {
 
 // WithCacheBackend routes the Runner's result memoization through a
 // specific backend instead of the process-wide default — typically a
-// FileBackend shared with other processes running shards of the same
-// sweep. Setting a backend implies WithCache(true) unless WithCache(false)
+// FileBackend or HTTPBackend shared with the other worker processes of
+// the same sweep. Setting a backend implies WithCache(true) unless WithCache(false)
 // is also given.
 func WithCacheBackend(b CacheBackend) RunnerOption {
 	return func(s *runnerSettings) error {
@@ -362,9 +362,9 @@ func WithDeadlineSkipping(enabled bool) RunnerOption {
 // content, so distinct grid points draw independent random streams. With
 // derivation off, scenarios run with their Config.Seed exactly as given —
 // the contract of the fixed-seed experiments (ErlangAblation,
-// WorkloadComparison, Lifetime, CompareAll), where every method must see
-// the same seed for cross-method comparability and results must reproduce
-// the pre-Runner tables bit for bit.
+// WorkloadComparison, Lifetime) and of one-off method comparisons, where
+// every method must see the same seed for cross-method comparability and
+// results must reproduce the pre-Runner tables bit for bit.
 func WithSeedDerivation(enabled bool) RunnerOption {
 	return func(s *runnerSettings) error {
 		s.rawSeeds = !enabled

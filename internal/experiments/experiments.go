@@ -67,8 +67,8 @@ type sweepPoint struct {
 
 // SweepScenarios returns the PDT-sweep scenario list at a fixed PUD — the
 // exact batch the Figure 4/5 and Table 4/5 machinery evaluates, exposed so
-// external coordinators (internal/shard, `wsnenergy shard plan`) can
-// partition the same batch across processes.
+// external coordinators (internal/shard, the `wsnenergy sweep` client of
+// internal/sweepd) can partition the same batch across processes.
 func SweepScenarios(opt Options, pud float64) []core.Scenario {
 	opt = opt.withDefaults()
 	scenarios := make([]core.Scenario, len(opt.PDTs))

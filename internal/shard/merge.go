@@ -48,7 +48,7 @@ type ResultItem struct {
 	Estimates []core.Estimate `json:"estimates"`
 }
 
-// ResultSet is the JSON document one worker writes after finishing its
+// ResultSet is the JSON document one worker reports after finishing its
 // shard.
 type ResultSet struct {
 	// Version is ResultSetVersion at write time.
@@ -82,23 +82,6 @@ func NewResultSet(shardIndex int, results []core.Result) (*ResultSet, error) {
 		})
 	}
 	return rs, nil
-}
-
-// WriteResultSet writes the set as indented JSON.
-func WriteResultSet(path string, rs *ResultSet) error {
-	return writeJSON(path, rs)
-}
-
-// ReadResultSet reads one worker output.
-func ReadResultSet(path string) (*ResultSet, error) {
-	var rs ResultSet
-	if err := readJSON(path, &rs); err != nil {
-		return nil, fmt.Errorf("shard: reading result set %s: %w", path, err)
-	}
-	if rs.Version != ResultSetVersion {
-		return nil, fmt.Errorf("shard: result set %s has version %d, want %d", path, rs.Version, ResultSetVersion)
-	}
-	return &rs, nil
 }
 
 // Merge reassembles worker result sets into the plan's results in input
@@ -191,28 +174,6 @@ func (e *IncompleteError) Error() string {
 	}
 	return fmt.Sprintf("shard: merge incomplete: %d of %d scenarios reported (missing %v%s)",
 		e.Total-len(e.Missing), e.Total, shown, suffix)
-}
-
-// Missing returns the sorted global indices of the plan that no result set
-// covers — the exact re-run set after worker loss. Unlike Merge it does not
-// validate the sets' contents; it only measures coverage, so a coordinator
-// can track gaps incrementally while results stream in.
-func Missing(m *Manifest, sets []*ResultSet) []int {
-	covered := make(map[int]bool, m.Total)
-	for _, rs := range sets {
-		for _, item := range rs.Results {
-			if item.Index >= 0 && item.Index < m.Total {
-				covered[item.Index] = true
-			}
-		}
-	}
-	missing := make([]int, 0, m.Total-len(covered))
-	for i := 0; i < m.Total; i++ {
-		if !covered[i] {
-			missing = append(missing, i)
-		}
-	}
-	return missing
 }
 
 // MissingFrom returns the sorted global indices of the plan that the

@@ -180,7 +180,8 @@ func TestPlanWeightedPlacementIndependence(t *testing.T) {
 }
 
 // TestMergeIncompleteError: an incomplete merge surfaces the typed gap
-// report with every missing index, matching Missing().
+// report with every missing index, matching MissingFrom over the indices
+// the result sets cover.
 func TestMergeIncompleteError(t *testing.T) {
 	m := mkManifest(t, 4)
 	a, _ := NewResultSet(0, []core.Result{mkResult(1, 2)})
@@ -197,13 +198,17 @@ func TestMergeIncompleteError(t *testing.T) {
 			t.Fatalf("missing[%d] = %d, want %d", i, inc.Missing[i], want)
 		}
 	}
-	got := Missing(m, []*ResultSet{a})
+	covered := map[int]bool{}
+	for _, item := range a.Results {
+		covered[item.Index] = true
+	}
+	got := m.MissingFrom(covered)
 	if len(got) != len(inc.Missing) {
-		t.Fatalf("Missing() disagrees with Merge: %v vs %v", got, inc.Missing)
+		t.Fatalf("MissingFrom disagrees with Merge: %v vs %v", got, inc.Missing)
 	}
 	for i := range got {
 		if got[i] != inc.Missing[i] {
-			t.Fatalf("Missing() disagrees with Merge: %v vs %v", got, inc.Missing)
+			t.Fatalf("MissingFrom disagrees with Merge: %v vs %v", got, inc.Missing)
 		}
 	}
 	// Long gaps truncate the message but never the list.

@@ -1,30 +1,27 @@
-// Package shard splits a Runner batch across processes and reassembles the
-// results. It is the scale-out layer over internal/core: Plan partitions a
-// scenario list deterministically, a Manifest carries the partition and the
-// Runner parameters to worker processes as JSON, each worker writes its
-// completed scenarios as a ResultSet, and Merge reassembles the sets in
-// input order with conflict detection.
+// Package shard is the planner and merger under the sweep service
+// (internal/sweepd). Plan partitions a scenario list deterministically, a
+// Manifest carries the partition and the Runner parameters to workers as
+// JSON, each worker reports its completed scenarios as a ResultSet, and
+// Merge reassembles the sets in input order with conflict detection;
+// MissingFrom and Replan rebuild the work queue after a worker is lost.
 //
 // Placement independence is by construction, not by coordination: the
 // Runner derives every scenario's RNG seed from the master seed and the
 // scenario's configuration content (never from batch position or worker
 // identity), so a scenario produces bit-identical results whichever shard —
 // or how many shards — it runs in. A sweep split N ways and merged is
-// therefore byte-identical to the same sweep run in one process. Workers
-// that additionally share a core.FileBackend result cache also skip grid
-// points another worker has already finished.
+// therefore byte-identical to the same sweep run in one process.
 package shard
 
 import (
 	"encoding/json"
 	"fmt"
-	"os"
 
 	"repro/internal/core"
 )
 
-// ManifestVersion is the schema version of the shard-manifest JSON; readers
-// reject manifests written under any other version.
+// ManifestVersion is the schema version of the shard-manifest JSON;
+// Validate rejects manifests written under any other version.
 const ManifestVersion = 1
 
 // Item is one scenario of the batch, tagged with its global position so
@@ -78,9 +75,9 @@ func (sp RunnerSpec) NewRunner(extra ...core.RunnerOption) (*core.Runner, error)
 	return core.NewRunner(append(opts, extra...)...)
 }
 
-// Manifest is the JSON document a coordinator writes with `plan` and every
-// worker and the merger read back: the full partition plus everything
-// needed to reconstruct identical Runners.
+// Manifest is the JSON document a sweep client submits and every worker
+// and the merger read back: the full partition plus everything needed to
+// reconstruct identical Runners.
 type Manifest struct {
 	// Version is ManifestVersion at write time.
 	Version int `json:"version"`
@@ -98,16 +95,6 @@ type Manifest struct {
 	// Shards is the partition; concatenated in order, the shards' items
 	// restore the original batch exactly.
 	Shards []Shard `json:"shards"`
-}
-
-// Shard returns the shard with the given index.
-func (m *Manifest) Shard(index int) (Shard, error) {
-	for _, s := range m.Shards {
-		if s.Index == index {
-			return s, nil
-		}
-	}
-	return Shard{}, fmt.Errorf("shard: manifest has no shard %d (plan has %d shards)", index, len(m.Shards))
 }
 
 // Plan partitions scenarios into n shards deterministically: contiguous,
@@ -224,11 +211,6 @@ func NewManifestWeighted(experiment string, spec RunnerSpec, scenarios []core.Sc
 	}, nil
 }
 
-// WriteManifest writes the manifest as indented JSON.
-func WriteManifest(path string, m *Manifest) error {
-	return writeJSON(path, m)
-}
-
 // Validate checks the manifest's structural invariants: schema version,
 // sequential shard indices, and the exactly-once global index coverage
 // Merge will later rely on.
@@ -270,37 +252,4 @@ func (m *Manifest) Scenarios() []core.Scenario {
 		}
 	}
 	return out
-}
-
-// ReadManifest reads and validates a manifest: version, shard indices, and
-// the exactly-once global index coverage Merge will later rely on.
-func ReadManifest(path string) (*Manifest, error) {
-	var m Manifest
-	if err := readJSON(path, &m); err != nil {
-		return nil, fmt.Errorf("shard: reading manifest %s: %w", path, err)
-	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("%w (manifest %s)", err, path)
-	}
-	return &m, nil
-}
-
-// writeJSON marshals v indented and writes it atomically enough for our
-// single-writer files (plain create-then-write; manifests and result sets
-// have one producer each).
-func writeJSON(path string, v any) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("shard: encoding %s: %w", path, err)
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// readJSON strictly decodes one JSON document from path into v.
-func readJSON(path string, v any) error {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	return json.Unmarshal(data, v)
 }

@@ -2,7 +2,7 @@ package shard
 
 import (
 	"context"
-	"path/filepath"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -76,21 +76,31 @@ func TestPlanPartitionProperty(t *testing.T) {
 	}
 }
 
-// TestManifestRoundTrip: write → read restores the plan, and the reader
-// validates version and coverage.
+// roundTrip encodes v to JSON and decodes it into out, as a manifest or
+// result set crosses the wire between sweep client, coordinator and
+// workers.
+func roundTrip(t *testing.T, v, out any) {
+	t.Helper()
+	data, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, out); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestManifestRoundTrip: encode → decode restores the plan, and the
+// decoded manifest validates.
 func TestManifestRoundTrip(t *testing.T) {
-	dir := t.TempDir()
 	spec := RunnerSpec{Base: core.PaperConfig(), Seed: 42, Methods: []string{"markov"}, DeriveSeeds: true}
 	m, err := NewManifest("table4", spec, grid(5), 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(dir, "plan.json")
-	if err := WriteManifest(path, m); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadManifest(path)
-	if err != nil {
+	var got Manifest
+	roundTrip(t, m, &got)
+	if err := got.Validate(); err != nil {
 		t.Fatal(err)
 	}
 	if got.Experiment != "table4" || got.Total != 5 || len(got.Shards) != 2 {
@@ -102,46 +112,31 @@ func TestManifestRoundTrip(t *testing.T) {
 	if got.Shards[1].Items[0].Config != m.Shards[1].Items[0].Config {
 		t.Fatal("round trip changed a scenario config")
 	}
-	if _, err := got.Shard(1); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := got.Shard(7); err == nil {
-		t.Fatal("nonexistent shard index accepted")
-	}
 }
 
-// TestManifestValidation: version mismatches and broken coverage are
-// rejected at read time.
+// TestManifestValidation: version mismatches and broken coverage survive
+// the JSON round trip and are rejected by Validate.
 func TestManifestValidation(t *testing.T) {
-	dir := t.TempDir()
-	write := func(name string, mutate func(*Manifest)) string {
-		t.Helper()
-		m, err := NewManifest("fig4", RunnerSpec{Base: core.PaperConfig(), Seed: 1, Methods: []string{"markov"}}, grid(4), 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mutate(m)
-		path := filepath.Join(dir, name)
-		if err := WriteManifest(path, m); err != nil {
-			t.Fatal(err)
-		}
-		return path
-	}
 	cases := []struct {
 		name   string
 		mutate func(*Manifest)
 		want   string
 	}{
-		{"version.json", func(m *Manifest) { m.Version = ManifestVersion + 1 }, "version"},
-		{"dup.json", func(m *Manifest) { m.Shards[1].Items[0].Index = 0 }, "more than one shard"},
-		{"missing.json", func(m *Manifest) { m.Shards[1].Items = m.Shards[1].Items[:1] }, "covers"},
-		{"range.json", func(m *Manifest) { m.Shards[0].Items[0].Index = 99 }, "outside"},
-		{"shardidx.json", func(m *Manifest) { m.Shards[0].Index = 5 }, "carries index"},
+		{"version", func(m *Manifest) { m.Version = ManifestVersion + 1 }, "version"},
+		{"dup", func(m *Manifest) { m.Shards[1].Items[0].Index = 0 }, "more than one shard"},
+		{"missing", func(m *Manifest) { m.Shards[1].Items = m.Shards[1].Items[:1] }, "covers"},
+		{"range", func(m *Manifest) { m.Shards[0].Items[0].Index = 99 }, "outside"},
+		{"shardidx", func(m *Manifest) { m.Shards[0].Index = 5 }, "carries index"},
 	}
 	for _, tc := range cases {
-		path := write(tc.name, tc.mutate)
-		_, err := ReadManifest(path)
-		if err == nil || !strings.Contains(err.Error(), tc.want) {
+		m, err := NewManifest("fig4", RunnerSpec{Base: core.PaperConfig(), Seed: 1, Methods: []string{"markov"}}, grid(4), 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc.mutate(m)
+		var got Manifest
+		roundTrip(t, m, &got)
+		if err := got.Validate(); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want mention of %q", tc.name, err, tc.want)
 		}
 	}
@@ -173,7 +168,6 @@ func mkManifest(t *testing.T, total int) *Manifest {
 }
 
 func TestResultSetRoundTripAndMerge(t *testing.T) {
-	dir := t.TempDir()
 	rs0, err := NewResultSet(0, []core.Result{mkResult(0, 1), mkResult(2, 3)})
 	if err != nil {
 		t.Fatal(err)
@@ -182,15 +176,9 @@ func TestResultSetRoundTripAndMerge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p0 := filepath.Join(dir, "r0.json")
-	if err := WriteResultSet(p0, rs0); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadResultSet(p0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.ShardIndex != 0 || len(back.Results) != 2 || back.Results[1].Estimates[0].EnergyJ != 3 {
+	back := &ResultSet{}
+	roundTrip(t, rs0, back)
+	if back.Version != ResultSetVersion || back.ShardIndex != 0 || len(back.Results) != 2 || back.Results[1].Estimates[0].EnergyJ != 3 {
 		t.Fatalf("result set round trip: %+v", back)
 	}
 

@@ -40,11 +40,11 @@ type Options struct {
 	// NoSpeculation disables shadow leases for predicted stragglers.
 	NoSpeculation bool
 	// CacheEntries bounds the default coordinator-hosted cache backend
-	// (0 = core.DefaultLRUEntries). Ignored when Cache or a StateDir file
-	// cache is in effect.
+	// (core.MemoryBackend.MaxEntries; 0 = 65536). Ignored when Cache or a
+	// StateDir file cache is in effect.
 	CacheEntries int
 	// Cache optionally backs the coordinator-hosted remote result cache;
-	// nil hosts an LRU-bounded in-memory backend (or, under Open with a
+	// nil hosts an LRU-bounded core.MemoryBackend (or, under Open with a
 	// StateDir, a persistent file backend).
 	Cache core.CacheBackend
 	// Clock overrides time.Now for tests.
@@ -133,7 +133,7 @@ func NewCoordinator(opts Options) *Coordinator {
 	}
 	cache := opts.Cache
 	if cache == nil {
-		cache = core.NewLRUBackend(opts.CacheEntries)
+		cache = &core.MemoryBackend{MaxEntries: opts.CacheEntries}
 	}
 	c := &Coordinator{
 		opts:   opts,

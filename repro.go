@@ -34,8 +34,6 @@
 package repro
 
 import (
-	"context"
-
 	"repro/internal/core"
 	"repro/internal/energy"
 	"repro/internal/petri"
@@ -118,24 +116,6 @@ func NewEstimators(specs ...string) ([]Estimator, error) { return core.NewEstima
 // context once before delegating; implement EstimateContext natively for
 // mid-run cancellation.
 func AdaptEstimator(e LegacyEstimator) Estimator { return core.AdaptEstimator(e) }
-
-// CompareAll runs every estimator on the same configuration.
-//
-// Deprecated: build a Runner and use Runner.Run or Runner.RunBatch, which
-// add worker-pool parallelism, context cancellation and deterministic
-// per-scenario seeding. CompareAll remains for one-off comparisons; it is
-// CompareAllContext with a background context.
-func CompareAll(cfg Config, ests []Estimator) ([]*Estimate, error) {
-	return core.CompareAll(cfg, ests)
-}
-
-// CompareAllContext runs every estimator on the same configuration through
-// the Runner's context-aware path: the estimators share the worker pool and
-// the process-wide result cache, and a cancelled context aborts in-flight
-// simulations mid-replication. The configuration's Seed is used verbatim.
-func CompareAllContext(ctx context.Context, cfg Config, ests []Estimator) ([]*Estimate, error) {
-	return core.CompareAllContext(ctx, cfg, ests)
-}
 
 // BuildCPUNet constructs the paper's Figure-3 Petri net for direct use with
 // the internal/petri engine.

@@ -63,7 +63,7 @@ func WithCache(enabled bool) Option { return core.WithCache(enabled) }
 // WithSeedDerivation enables or disables per-scenario seed derivation
 // (default enabled). Disable it for fixed-seed experiments where every
 // scenario must run with its Config.Seed exactly as given — the contract
-// of the extension experiments and CompareAll.
+// of the extension experiments and of one-off method comparisons.
 func WithSeedDerivation(enabled bool) Option { return core.WithSeedDerivation(enabled) }
 
 // CacheBackend stores memoized estimator results behind the Runner; see
@@ -79,28 +79,21 @@ type CacheKey = core.CacheKey
 // CacheStats reports a backend's entry and hit counts.
 type CacheStats = core.CacheStats
 
-// NewMemoryCacheBackend returns a fresh process-local result cache with
-// epoch eviction — the same implementation as the process-wide default,
-// but private to the Runners it is handed to.
+// NewMemoryCacheBackend returns a fresh process-local result cache bounded
+// to 65536 entries by least-recently-used eviction — the same
+// implementation as the process-wide default, but private to the Runners
+// it is handed to. Evicted entries are counted in CacheStats.Evictions.
 func NewMemoryCacheBackend() CacheBackend { return core.NewMemoryBackend() }
 
 // NewFileCacheBackend opens (creating if needed) a file-backed result
 // cache rooted at dir, shareable across processes — the backend behind
-// `wsnenergy shard run -cache`.
+// `wsnenergy serve -cache` and `wsnenergy work -local-cache`.
 func NewFileCacheBackend(dir string) (CacheBackend, error) { return core.NewFileBackend(dir) }
-
-// NewLRUCacheBackend returns a result cache bounded to at most max
-// entries (non-positive: 65536) by least-recently-used eviction — the
-// backend for long-lived services that must keep the in-flight working
-// set warm while old sweeps age out, rather than dropping everything at
-// once like the memory backend's epoch eviction. Evicted entries are
-// counted in CacheStats.Evictions.
-func NewLRUCacheBackend(max int) CacheBackend { return core.NewLRUBackend(max) }
 
 // WithCacheBackend routes the Runner's result memoization through a
 // specific backend instead of the process-wide default — typically a
-// file-backed cache shared with other processes running shards of the
-// same sweep.
+// file-backed cache shared with the other worker processes of the same
+// sweep.
 func WithCacheBackend(b CacheBackend) Option { return core.WithCacheBackend(b) }
 
 // WithDeadlineSkipping enables or disables deadline-aware scheduling
