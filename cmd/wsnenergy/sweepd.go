@@ -52,7 +52,6 @@ func serveMain(args []string) {
 		partitions   = fs.Int("partitions", sweepd.DefaultPartitions, "default lease partitions per sweep")
 		stateDir     = fs.String("state-dir", "", "journal every transition under this directory and recover from it at startup (also hosts the result cache)")
 		drainWait    = fs.Duration("drain", 30*time.Second, "on SIGTERM, wait this long for in-flight leases before exiting")
-		speculate    = fs.Bool("speculate", true, "re-issue predicted straggler partitions as shadow leases")
 		cacheDir     = fs.String("cache", "", "back the shared result cache with this directory (default: in-memory LRU, or state-dir/cache)")
 		cacheEntries = fs.Int("cache-entries", 0, "entry bound for the in-memory result cache (0 = 65536)")
 		quiet        = fs.Bool("quiet", false, "suppress progress logging")
@@ -64,7 +63,6 @@ func serveMain(args []string) {
 		MaxAttempts:       *attempts,
 		DefaultPartitions: *partitions,
 		StateDir:          *stateDir,
-		NoSpeculation:     !*speculate,
 		CacheEntries:      *cacheEntries,
 	}
 	if !*quiet {

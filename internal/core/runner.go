@@ -2,8 +2,8 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"runtime"
 	"sync"
@@ -45,10 +45,6 @@ type Result struct {
 	Seed uint64
 	// Estimates holds one result per estimator, in estimator order.
 	Estimates []*Estimate
-	// Skipped reports that deadline-aware scheduling refused to start the
-	// scenario because its estimated cost exceeded the remaining context
-	// deadline; Err wraps ErrDeadlineSkipped and Estimates is nil.
-	Skipped bool
 	// Err reports the first estimator failure for this scenario.
 	Err error
 }
@@ -64,56 +60,32 @@ type Runner struct {
 	// estIDs caches each estimator's implementation identity (parallel to
 	// estimators): deriving it needs reflection and string building, which
 	// must not run once per cache lookup on the memoized fast path.
-	estIDs       []string
-	cache        bool
-	backend      CacheBackend
-	deriveSeeds  bool
-	deadlineSkip bool
-	costs        costModel
+	estIDs      []string
+	cache       bool
+	backend     CacheBackend
+	deriveSeeds bool
+	costs       costModel
 }
 
 // runnerSettings accumulates option values before the Runner is sealed.
 type runnerSettings struct {
-	base           Config
-	seed           uint64
-	seedSet        bool
-	parallelism    int
-	estimators     []Estimator
-	noCache        bool
-	backend        CacheBackend
-	rawSeeds       bool
-	noDeadlineSkip bool
+	base        Config
+	seed        uint64
+	seedSet     bool
+	parallelism int
+	estimators  []Estimator
+	noCache     bool
+	backend     CacheBackend
+	rawSeeds    bool
 }
 
-// ErrDeadlineSkipped marks a scenario that deadline-aware scheduling
-// refused to start: its estimated cost exceeded the time remaining before
-// the context deadline. Skipped scenarios are reported with Result.Skipped
-// set, wrap this error, and are never cached.
-var ErrDeadlineSkipped = errors.New("estimated cost exceeds the remaining context deadline")
-
-// costModel tracks the observed wall-clock cost of each estimator (keyed
-// by the same implementation identity the result cache uses) as two
-// exponentially weighted moving averages: cost per unit of simulated work
-// and absolute cost per run. A prediction is the *minimum* of the
-// work-scaled and the absolute estimate, so every modeling error biases
-// toward attempting, never toward skipping: a work-proportional simulator
-// trained on long horizons predicts short scenarios proportionally
-// (absolute would over-predict), and an O(1) analytic solver trained on
-// short horizons predicts long scenarios by its flat cost (work-scaled
-// would over-predict). The worst case is an under-prediction that lets a
-// doomed scenario start — which the deadline then aborts, exactly the
-// pre-skip behaviour. The model powers deadline-aware scheduling and is
-// per-Runner so unrelated workloads (and tests) never train each other.
+// costModel is the Runner's trained CostTable, guarded for its concurrent
+// workers. It is per-Runner so unrelated workloads (and tests) never train
+// each other; its one consumer is cost-weighted partition planning, which
+// reads it through CostSnapshot.
 type costModel struct {
 	mu sync.Mutex
-	m  map[string]costEstimate
-}
-
-// costEstimate is one estimator's trained state: EWMA seconds per unit of
-// work and EWMA seconds per run.
-type costEstimate struct {
-	perWork float64
-	abs     float64
+	t  CostTable
 }
 
 // ConfigWork scores how much simulation a config asks for: horizon times
@@ -131,73 +103,64 @@ func ConfigWork(cfg Config) float64 {
 	return work
 }
 
-// observe folds one completed run into the estimator's moving averages.
+// observe folds one completed run into the estimator's sample. It runs
+// once per computed unit and does not allocate once the estimator has a
+// sample.
 func (c *costModel) observe(id string, d time.Duration, work float64) {
 	secs := d.Seconds()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.m == nil {
-		c.m = make(map[string]costEstimate)
+	if c.t == nil {
+		c.t = make(CostTable)
 	}
-	if prev, ok := c.m[id]; ok {
-		c.m[id] = costEstimate{
-			perWork: (prev.perWork + secs/work) / 2,
-			abs:     (prev.abs + secs) / 2,
-		}
-	} else {
-		c.m[id] = costEstimate{perWork: secs / work, abs: secs}
-	}
+	c.t.fold(id, CostSample{PerWorkSeconds: secs / work, AbsSeconds: secs})
 }
 
-// predict returns the cost estimate for running an estimator over the
-// given amount of work: min(work-scaled, absolute). ok is false until at
-// least one run has been observed (an untrained model never causes a
-// skip).
-func (c *costModel) predict(id string, work float64) (time.Duration, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	est, ok := c.m[id]
-	if !ok {
-		return 0, false
-	}
-	secs := est.perWork * work
-	if est.abs < secs {
-		secs = est.abs
-	}
-	return time.Duration(secs * float64(time.Second)), true
-}
-
-// CostSample is one estimator's exported cost-model state: EWMA seconds
-// per unit of ConfigWork and EWMA seconds per run. The JSON shape is the
-// wire form sweep workers ship their trained models to a coordinator in.
+// CostSample is one estimator's trained cost: EWMA seconds per unit of
+// ConfigWork and EWMA seconds per run. The JSON shape is the wire form
+// sweep workers ship their trained models to a coordinator in.
 type CostSample struct {
 	PerWorkSeconds float64 `json:"per_work_seconds"`
 	AbsSeconds     float64 `json:"abs_seconds"`
 }
 
-// CostTable is a serializable snapshot of a Runner's trained cost model,
-// keyed by estimator implementation identity (the same key the result
-// cache uses — see EstimatorIDs to derive keys from method specs). A
-// coordinator merges the tables its workers report and feeds predictions
-// into cost-weighted shard planning.
+// CostTable maps estimator implementation identity (the same key the
+// result cache uses — see EstimatorIDs to derive keys from method specs)
+// to its trained CostSample. A Runner trains one; a coordinator merges the
+// tables its workers report and prices scenarios with it to weight shard
+// planning.
 type CostTable map[string]CostSample
+
+// fold averages sample into the table's entry for id — the one EWMA rule
+// (each new sample weighs one half) that Runner observations and Merge
+// share — or adopts it when id has no entry yet.
+func (t CostTable) fold(id string, sample CostSample) {
+	if prev, ok := t[id]; ok {
+		sample = CostSample{
+			PerWorkSeconds: (prev.PerWorkSeconds + sample.PerWorkSeconds) / 2,
+			AbsSeconds:     (prev.AbsSeconds + sample.AbsSeconds) / 2,
+		}
+	}
+	t[id] = sample
+}
 
 // CostSnapshot exports the Runner's current cost model. The snapshot is a
 // copy: later observations do not mutate it.
 func (r *Runner) CostSnapshot() CostTable {
 	r.costs.mu.Lock()
 	defer r.costs.mu.Unlock()
-	t := make(CostTable, len(r.costs.m))
-	for id, est := range r.costs.m {
-		t[id] = CostSample{PerWorkSeconds: est.perWork, AbsSeconds: est.abs}
-	}
+	t := make(CostTable, len(r.costs.t))
+	maps.Copy(t, r.costs.t)
 	return t
 }
 
 // PredictSeconds prices one estimator's run over the given amount of work
-// the way the Runner's scheduler does: min(work-scaled, absolute), biasing
-// every modeling error toward under- rather than over-prediction. ok is
-// false for estimators the table has no sample for.
+// as min(work-scaled, absolute). The minimum biases every modeling error
+// toward under-prediction: a work-proportional simulator trained on long
+// horizons prices short scenarios proportionally (absolute would
+// over-price them), and an O(1) analytic solver trained on short horizons
+// prices long scenarios by its flat cost (work-scaled would over-price
+// them). ok is false for estimators the table has no sample for.
 func (t CostTable) PredictSeconds(id string, work float64) (float64, bool) {
 	est, ok := t[id]
 	if !ok {
@@ -213,8 +176,8 @@ func (t CostTable) PredictSeconds(id string, work float64) (float64, bool) {
 // ScenarioSeconds prices a whole scenario across estimator ids: the
 // slowest single estimator (they run concurrently under the Runner's
 // pair-level fan-out), scaled to the config's work. Unsampled estimators
-// price as zero, so a partially trained table under-predicts — the safe
-// direction for both deadline skipping and load balancing.
+// price as zero, so a partially trained table under-predicts rather than
+// skewing a partition plan toward phantom costs.
 func (t CostTable) ScenarioSeconds(cfg Config, ids []string) float64 {
 	work := ConfigWork(cfg)
 	worst := 0.0
@@ -226,21 +189,14 @@ func (t CostTable) ScenarioSeconds(cfg Config, ids []string) float64 {
 	return worst
 }
 
-// Merge folds another table into this one with the cost model's own EWMA
-// rule — samples present in both average, new samples copy — and returns
-// the receiver for chaining. A coordinator calls it once per worker
-// report, so repeated reports converge the same way repeated observations
-// do inside a Runner.
+// Merge folds another table into this one with the EWMA rule Runner
+// observations use — samples present in both average, new samples copy —
+// and returns the receiver for chaining. A coordinator calls it once per
+// worker report, so repeated reports converge the same way repeated
+// observations do inside a Runner.
 func (t CostTable) Merge(other CostTable) CostTable {
-	for id, n := range other {
-		if prev, ok := t[id]; ok {
-			t[id] = CostSample{
-				PerWorkSeconds: (prev.PerWorkSeconds + n.PerWorkSeconds) / 2,
-				AbsSeconds:     (prev.AbsSeconds + n.AbsSeconds) / 2,
-			}
-		} else {
-			t[id] = n
-		}
+	for id, sample := range other {
+		t.fold(id, sample)
 	}
 	return t
 }
@@ -341,21 +297,6 @@ func WithCacheBackend(b CacheBackend) RunnerOption {
 	}
 }
 
-// WithDeadlineSkipping enables or disables deadline-aware scheduling
-// (default enabled). When the batch context carries a deadline and the
-// Runner has already observed how long an estimator takes, a scenario
-// whose predicted cost exceeds the remaining time is not started: it is
-// reported immediately with Result.Skipped set and an error wrapping
-// ErrDeadlineSkipped, and nothing is cached for it. Scenarios answered
-// entirely from the cache are never skipped. Disable it to force every
-// scenario to be attempted until the deadline actually expires.
-func WithDeadlineSkipping(enabled bool) RunnerOption {
-	return func(s *runnerSettings) error {
-		s.noDeadlineSkip = !enabled
-		return nil
-	}
-}
-
 // WithSeedDerivation enables or disables per-scenario seed derivation
 // (default enabled). With derivation on, every scenario's effective Seed is
 // derived from the Runner's master seed and the scenario's configuration
@@ -413,15 +354,14 @@ func NewRunner(opts ...RunnerOption) (*Runner, error) {
 		estIDs[i] = estimatorID(e)
 	}
 	return &Runner{
-		base:         s.base,
-		seed:         s.seed,
-		parallelism:  s.parallelism,
-		estimators:   s.estimators,
-		estIDs:       estIDs,
-		cache:        !s.noCache,
-		backend:      s.backend,
-		deriveSeeds:  !s.rawSeeds,
-		deadlineSkip: !s.noDeadlineSkip,
+		base:        s.base,
+		seed:        s.seed,
+		parallelism: s.parallelism,
+		estimators:  s.estimators,
+		estIDs:      estIDs,
+		cache:       !s.noCache,
+		backend:     s.backend,
+		deriveSeeds: !s.rawSeeds,
 	}, nil
 }
 
@@ -511,7 +451,7 @@ func (r *Runner) cacheLookup(key CacheKey) (*Estimate, bool) {
 // looked the unit up and missed, so runPair does not consult the cache
 // again. Cancelled or failed runs are never stored, so a mid-replication
 // abort cannot poison the cache; completed runs train the Runner's cost
-// model for deadline-aware scheduling.
+// model.
 func (r *Runner) runPair(ctx context.Context, cfg Config, ei int) (*Estimate, error) {
 	start := time.Now()
 	est, err := r.estimators[ei].EstimateContext(ctx, cfg)
@@ -525,22 +465,6 @@ func (r *Runner) runPair(ctx context.Context, cfg Config, ei int) (*Estimate, er
 		_ = r.backend.Put(r.cacheKey(cfg, ei), *est)
 	}
 	return est, nil
-}
-
-// predictScenarioCost returns the Runner's cost estimate for the given
-// pending estimator units of a scenario: the slowest single unit (with
-// full parallelism a scenario cannot finish faster than that), scaled to
-// the scenario's configured amount of work. Estimators the model has
-// never observed predict as free, so an untrained Runner never skips.
-func (r *Runner) predictScenarioCost(cfg Config, pending []int) time.Duration {
-	work := ConfigWork(cfg)
-	var worst time.Duration
-	for _, ei := range pending {
-		if d, ok := r.costs.predict(r.estIDs[ei], work); ok && d > worst {
-			worst = d
-		}
-	}
-	return worst
 }
 
 // scenarioState tracks the in-flight assembly of one scenario's Result
@@ -682,30 +606,6 @@ func (r *Runner) RunBatch(ctx context.Context, scenarios []Scenario) (<-chan Res
 				if st.pending.Load() == 0 {
 					emit(st.finish())
 					continue
-				}
-			}
-			if r.deadlineSkip {
-				// Deadline-aware scheduling: a scenario predicted (from
-				// this Runner's observed estimator costs) to outlast the
-				// context deadline is refused up front — reported as
-				// skipped, never started, never cached — instead of being
-				// run and aborted mid-replication. Prefill ran first, so a
-				// scenario the cache can answer completes regardless.
-				if deadline, ok := ctx.Deadline(); ok {
-					var pending []int
-					for ei := range r.estimators {
-						if st.ests[ei] == nil {
-							pending = append(pending, ei)
-						}
-					}
-					if cost := r.predictScenarioCost(st.cfg, pending); cost > 0 && cost > time.Until(deadline) {
-						st.res.Skipped = true
-						st.res.Err = fmt.Errorf("core: scenario %d (%s): %w (predicted %v)",
-							si, st.res.Scenario.Name, ErrDeadlineSkipped, cost.Round(time.Millisecond))
-						st.res.Estimates = nil
-						emit(st.res)
-						continue
-					}
 				}
 			}
 			for ei := 0; ei < nE; ei++ {

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -93,6 +94,43 @@ func TestCacheIntactAfterCancellation(t *testing.T) {
 	if *cached.Estimates[0] != *direct.Estimates[0] {
 		t.Fatalf("post-cancellation estimate differs from direct evaluation:\ncached: %+v\ndirect: %+v",
 			*cached.Estimates[0], *direct.Estimates[0])
+	}
+}
+
+// TestDeadlineSkippingDisabled: the Runner never refuses a scenario up
+// front, even when its trained cost model prices the scenario past the
+// context deadline. The estimator starts, the deadline aborts it mid-run,
+// the batch fails with the context's error, and nothing is cached.
+func TestDeadlineSkippingDisabled(t *testing.T) {
+	var calls atomic.Int64
+	backend := NewMemoryBackend()
+	r, err := NewRunner(
+		WithConfig(PaperConfig()),
+		WithEstimators(sleepEstimator{d: 300 * time.Millisecond, calls: &calls}),
+		WithCacheBackend(backend),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trainRunner(t, r, r.BaseConfig())
+	trained, err := backend.Stats()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := r.BaseConfig()
+	fresh.PDT = 0.123
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	_, err = r.RunAll(ctx, []Scenario{{Name: "doomed", Config: fresh}})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("impossible deadline returned %v, want context.DeadlineExceeded", err)
+	}
+	if got := calls.Load(); got != 2 {
+		t.Fatalf("estimator should have been attempted (%d calls, want 2)", got)
+	}
+	if st, err := backend.Stats(); err != nil || st.Entries != trained.Entries {
+		t.Fatalf("aborted run changed the cache: (%+v, %v), want %d entries", st, err, trained.Entries)
 	}
 }
 

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/energy"
@@ -15,9 +14,10 @@ import (
 // percentages stabilize. Evaluating a Markov model means just evaluating an
 // analytical expression." At a small PUD the Markov closed form is
 // essentially exact, so it serves as the reference; the table reports the
-// Petri net's error and confidence width as the simulated horizon grows,
-// along with measured wall-clock time — including the Markov evaluation
-// time for contrast.
+// Petri net's error and confidence width as the simulated horizon grows.
+// The horizon column is the cost axis: simulation cost scales with it,
+// while the closed form costs the same at any horizon. The table carries
+// no wall-clock timings, so it renders byte-identically run to run.
 func Convergence(opt Options, horizons []float64) (*report.Table, error) {
 	opt = opt.withDefaults()
 	if len(horizons) == 0 {
@@ -32,17 +32,15 @@ func Convergence(opt Options, horizons []float64) (*report.Table, error) {
 	t := report.NewTable(
 		fmt.Sprintf("X-6: Petri-net convergence toward the exact solution (PDT=%g s, PUD=%g s, %d replications)",
 			cfg.PDT, cfg.PUD, maxInt(cfg.Replications, 1)),
-		"Method / horizon (s)", "Σ|Δ| vs exact (pp)", "Mean 95% CI (pp)", "Wall time")
+		"Method / horizon (s)", "Σ|Δ| vs exact (pp)", "Mean 95% CI (pp)")
 	for _, h := range horizons {
 		c := cfg
 		c.SimTime = h
 		c.Warmup = h / 10
-		start := time.Now()
 		pn, err := (core.PetriNet{}).Estimate(c)
 		if err != nil {
 			return nil, err
 		}
-		elapsed := time.Since(start)
 		meanCI := 0.0
 		for _, s := range energy.States {
 			meanCI += pn.FractionsCI[s] * 100
@@ -51,14 +49,9 @@ func Convergence(opt Options, horizons []float64) (*report.Table, error) {
 		t.AddRow(
 			fmt.Sprintf("PetriNet @ %g", h),
 			report.F(sumAbsFractionDiff(ref, pn), 3),
-			report.F(meanCI, 3),
-			elapsed.Round(time.Microsecond).String())
+			report.F(meanCI, 3))
 	}
-	start := time.Now()
-	if _, err := (core.Markov{}).Estimate(cfg); err != nil {
-		return nil, err
-	}
-	t.AddRow("Markov (closed form)", "0 (reference)", "-", time.Since(start).Round(time.Microsecond).String())
+	t.AddRow("Markov (closed form)", "0 (reference)", "-")
 	return t, nil
 }
 

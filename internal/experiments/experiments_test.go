@@ -323,6 +323,27 @@ func TestTransientFigure(t *testing.T) {
 	}
 }
 
+// TestConvergenceOutputStable: X-6 carries no wall-clock column, so
+// repeated renders are byte-identical and `-experiment all` is stable
+// between two runs.
+func TestConvergenceOutputStable(t *testing.T) {
+	opt := quickOptions()
+	var first string
+	for i := 0; i < 4; i++ {
+		tb, err := Convergence(opt, []float64{5, 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = tb.CSV()
+			continue
+		}
+		if csv := tb.CSV(); csv != first {
+			t.Fatalf("render %d differs from the first:\n%s\nvs\n%s", i, csv, first)
+		}
+	}
+}
+
 // TestTransientOutputStable: X-7 emits its series in a fixed order
 // (standby, idle, active), so repeated renders are byte-identical.
 func TestTransientOutputStable(t *testing.T) {

@@ -11,7 +11,8 @@ import (
 
 // Estimator runs a field simulation as a registered core.Estimator, so
 // whole sensor fields sweep through the Runner/RunBatch machinery — result
-// cache, shards, deadline skipping — exactly like the single-CPU methods.
+// cache, shards, cost-weighted planning — exactly like the single-CPU
+// methods.
 // The scenario Config supplies the per-node CPU model, the sample rate
 // (Lambda), the horizon (SimTime/Warmup) and the seed; the topology and
 // radio/battery tables are fixed in the estimator and encoded in its Name,

@@ -9,8 +9,8 @@ import (
 
 // RunShard evaluates one shard's scenarios with the given Runner and
 // returns the worker's ResultSet, with every result re-tagged to its
-// global batch index. Any scenario failure (including a deadline skip)
-// fails the whole shard: merge needs complete shards.
+// global batch index. Any scenario failure fails the whole shard: merge
+// needs complete shards.
 func RunShard(ctx context.Context, r *core.Runner, s Shard) (*ResultSet, error) {
 	scenarios := make([]core.Scenario, len(s.Items))
 	for i, it := range s.Items {
@@ -60,8 +60,8 @@ type ResultSet struct {
 }
 
 // NewResultSet converts a completed shard's Runner results into the wire
-// shape. Every result must be a success: a failed or skipped scenario has
-// no estimates to merge, so the worker must fail instead of writing a
+// shape. Every result must be a success: a failed scenario has no
+// estimates to merge, so the worker must fail instead of writing a
 // partial set.
 func NewResultSet(shardIndex int, results []core.Result) (*ResultSet, error) {
 	rs := &ResultSet{Version: ResultSetVersion, ShardIndex: shardIndex}

@@ -3,6 +3,7 @@ package sweepd
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -37,8 +38,6 @@ type Options struct {
 	// file cache). Empty runs the coordinator purely in memory. Only Open
 	// honors it; NewCoordinator ignores the field.
 	StateDir string
-	// NoSpeculation disables shadow leases for predicted stragglers.
-	NoSpeculation bool
 	// CacheEntries bounds the default coordinator-hosted cache backend
 	// (core.MemoryBackend.MaxEntries; 0 = 65536). Ignored when Cache or a
 	// StateDir file cache is in effect.
@@ -67,11 +66,6 @@ type lease struct {
 	part     pending
 	started  time.Time
 	deadline time.Time
-	// speculative marks a shadow lease issued against a predicted
-	// straggler; rival links the two leases racing the same partition
-	// (each holds the other's id while both live).
-	speculative bool
-	rival       string
 }
 
 // sweep is the coordinator's state for one submitted sweep.
@@ -277,7 +271,7 @@ func (c *Coordinator) weightLocked(methods []string) shard.WeightFunc {
 	if err != nil || len(c.costs) == 0 {
 		return nil
 	}
-	table := copyCosts(c.costs)
+	table := maps.Clone(c.costs)
 	sampled := false
 	for _, id := range ids {
 		if _, ok := table[id]; ok {
@@ -293,32 +287,26 @@ func (c *Coordinator) weightLocked(methods []string) shard.WeightFunc {
 	}
 }
 
-// grantLocked journals and issues one lease for a partition. spec marks a
-// shadow lease; rivalID links it to the lease it races.
-func (c *Coordinator) grantLocked(sw *sweep, part pending, worker string, now time.Time, spec bool, rivalID string) (*lease, error) {
+// grantLocked journals and issues one lease for a partition.
+func (c *Coordinator) grantLocked(sw *sweep, part pending, worker string, now time.Time) (*lease, error) {
 	id := fmt.Sprintf("l%d", c.nextLease+1)
 	if err := c.appendLocked(record{
 		Kind: recLease, Sweep: sw.id, Lease: id, Worker: worker,
-		ShardIndex: part.shard.Index, Speculative: spec,
+		ShardIndex: part.shard.Index,
 	}); err != nil {
 		return nil, err
 	}
 	c.nextLease++
 	l := &lease{
-		id:          id,
-		sweepID:     sw.id,
-		worker:      worker,
-		part:        part,
-		started:     now,
-		deadline:    now.Add(c.opts.LeaseTTL),
-		speculative: spec,
-		rival:       rivalID,
+		id:       id,
+		sweepID:  sw.id,
+		worker:   worker,
+		part:     part,
+		started:  now,
+		deadline: now.Add(c.opts.LeaseTTL),
 	}
 	c.leases[id] = l
 	sw.active++
-	if spec {
-		sw.counters.SpecIssued++
-	}
 	return l, nil
 }
 
@@ -338,9 +326,8 @@ func (c *Coordinator) leaseResponseLocked(sw *sweep, l *lease) LeaseResponse {
 	}
 }
 
-// Lease grants the next queued partition, preferring older sweeps. With
-// nothing queued it may instead issue a speculative shadow lease against
-// a predicted straggler (see speculateLocked). A draining coordinator
+// Lease grants the next queued partition, preferring older sweeps, or
+// answers LeaseWait when nothing is queued. A draining coordinator
 // answers LeaseBye immediately — in-flight leases may still submit, but
 // no new work leaves the queue. A recovering coordinator answers
 // LeaseWait until replay finishes.
@@ -364,7 +351,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 			continue
 		}
 		part := sw.queue[0]
-		l, err := c.grantLocked(sw, part, req.Worker, now, false, "")
+		l, err := c.grantLocked(sw, part, req.Worker, now)
 		if err != nil {
 			return LeaseResponse{}, err
 		}
@@ -373,73 +360,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseResponse, error) {
 			l.id, sw.id, part.shard.Index, len(part.shard.Items), req.Worker)
 		return c.leaseResponseLocked(sw, l), nil
 	}
-	if !c.opts.NoSpeculation {
-		if resp, ok, err := c.speculateLocked(req.Worker, now); err != nil {
-			return LeaseResponse{}, err
-		} else if ok {
-			return resp, nil
-		}
-	}
 	return LeaseResponse{Version: ProtocolVersion, Status: LeaseWait}, nil
-}
-
-// speculateLocked re-issues a straggling lease's partition to an idle
-// worker: when the cost model predicts the uncovered remainder of an
-// active lease needs more time than remains before its deadline, a
-// shadow lease races the original. Whichever submission lands first
-// wins; the other lease is discarded and its late submission bounces as
-// ErrLeaseGone, which the worker drops idempotently (content-derived
-// seeds make the duplicate results identical anyway). At most one shadow
-// per lease, never against the same worker's own lease, and only while
-// the cost table actually predicts (an unsampled table predicts zero and
-// never speculates).
-func (c *Coordinator) speculateLocked(worker string, now time.Time) (LeaseResponse, bool, error) {
-	ids := make([]string, 0, len(c.leases))
-	for id := range c.leases {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		l := c.leases[id]
-		if l.rival != "" || l.worker == worker {
-			continue
-		}
-		sw := c.sweeps[l.sweepID]
-		if sw == nil || sw.state != StateRunning {
-			continue
-		}
-		predicted := c.predictRemainingLocked(sw, l.part)
-		if predicted <= 0 || predicted <= l.deadline.Sub(now).Seconds() {
-			continue
-		}
-		shadow, err := c.grantLocked(sw, l.part, worker, now, true, l.id)
-		if err != nil {
-			return LeaseResponse{}, false, err
-		}
-		l.rival = shadow.id
-		c.logf("lease %s: speculating sweep %s shard %d against straggler %s (predicted %.1fs, %.1fs left) -> worker %q",
-			shadow.id, sw.id, l.part.shard.Index, l.id, predicted, l.deadline.Sub(now).Seconds(), worker)
-		return c.leaseResponseLocked(sw, shadow), true, nil
-	}
-	return LeaseResponse{}, false, nil
-}
-
-// predictRemainingLocked prices the uncovered scenarios of a leased
-// partition with the coordinator's cost table (seconds; 0 when the table
-// has no samples for the sweep's estimators).
-func (c *Coordinator) predictRemainingLocked(sw *sweep, part pending) float64 {
-	ids, err := core.EstimatorIDs(sw.manifest.Runner.Methods...)
-	if err != nil {
-		return 0
-	}
-	total := 0.0
-	for _, it := range part.shard.Items {
-		if sw.covered[it.Index] {
-			continue
-		}
-		total += c.costs.ScenarioSeconds(it.Scenario().Config, ids)
-	}
-	return total
 }
 
 // Heartbeat extends a lease's deadline by one TTL. An unknown (already
@@ -462,9 +383,7 @@ func (c *Coordinator) Heartbeat(leaseID string) error {
 // persisted and journaled by reference, folded into the sweep, the
 // worker's cost table merges into the planning model, and any scenarios
 // of the partition the submission did not cover are re-planned into a
-// recovery partition. If a rival (speculative) lease is racing the same
-// partition, the first submission wins and the rival is discarded — its
-// own submission will find its lease gone.
+// recovery partition.
 func (c *Coordinator) Results(leaseID string, sub ResultSubmission) error {
 	if sub.Version != ProtocolVersion {
 		return fmt.Errorf("sweepd: results version %d, want %d", sub.Version, ProtocolVersion)
@@ -501,9 +420,6 @@ func (c *Coordinator) Results(leaseID string, sub ResultSubmission) error {
 	}
 	delete(c.leases, leaseID)
 	sw.active--
-	if l.rival != "" {
-		c.discardRivalLocked(sw, l.rival)
-	}
 
 	c.costs = c.costs.Merge(sub.Costs)
 	sw.sets = append(sw.sets, sub.Results)
@@ -534,39 +450,8 @@ func (c *Coordinator) Results(leaseID string, sub ResultSubmission) error {
 	return nil
 }
 
-// discardRivalLocked settles a speculation race: the named rival lease
-// (the copy that lost) leaves the table without a requeue — the winning
-// submission already covered the partition.
-func (c *Coordinator) discardRivalLocked(sw *sweep, rivalID string) {
-	r, alive := c.leases[rivalID]
-	if !alive || r.sweepID != sw.id {
-		return
-	}
-	c.appendBestEffortLocked(record{Kind: recRelease, Sweep: sw.id, Lease: rivalID, Reason: releaseDiscarded})
-	delete(c.leases, rivalID)
-	sw.active--
-	sw.counters.SpecWins++
-	c.logf("lease %s: discarded (rival submission for sweep %s shard %d landed first)",
-		rivalID, sw.id, r.part.shard.Index)
-}
-
-// unlinkRivalLocked detaches a dying lease from its rival so the
-// survivor carries the partition alone (and may later be shadowed
-// again).
-func (c *Coordinator) unlinkRivalLocked(l *lease) *lease {
-	if l.rival == "" {
-		return nil
-	}
-	r, alive := c.leases[l.rival]
-	if alive {
-		r.rival = ""
-		return r
-	}
-	return nil
-}
-
 // Fail reports a lease the worker could not run; the partition requeues
-// (bounded by MaxAttempts) unless a rival lease is still racing it.
+// (bounded by MaxAttempts).
 func (c *Coordinator) Fail(leaseID string, req FailRequest) error {
 	now := c.opts.Clock()
 	c.mu.Lock()
@@ -584,18 +469,13 @@ func (c *Coordinator) Fail(leaseID string, req FailRequest) error {
 	sw.active--
 	c.logf("lease %s: worker %q failed sweep %s shard %d: %s",
 		leaseID, l.worker, sw.id, l.part.shard.Index, req.Error)
-	if rival := c.unlinkRivalLocked(l); rival != nil {
-		c.logf("lease %s: rival %s still racing the partition; no requeue", leaseID, rival.id)
-	} else {
-		c.requeueLocked(sw, l.part, requeueFailed, req.Error)
-	}
+	c.requeueLocked(sw, l.part, requeueFailed, req.Error)
 	c.maybeFinishLocked(sw)
 	return nil
 }
 
 // reapLocked reclaims expired leases: each reclaimed partition re-enters
-// its sweep's queue with one more attempt on the clock — unless a rival
-// lease is still racing it, in which case the rival is the retry.
+// its sweep's queue with one more attempt on the clock.
 func (c *Coordinator) reapLocked(now time.Time) {
 	var ids []string
 	for id, l := range c.leases {
@@ -605,10 +485,7 @@ func (c *Coordinator) reapLocked(now time.Time) {
 	}
 	sort.Strings(ids)
 	for _, id := range ids {
-		l, ok := c.leases[id]
-		if !ok {
-			continue // already discarded as a rival this pass
-		}
+		l := c.leases[id]
 		sw := c.sweeps[l.sweepID]
 		c.appendBestEffortLocked(record{Kind: recRelease, Sweep: sw.id, Lease: id, Reason: releaseExpired})
 		delete(c.leases, id)
@@ -616,11 +493,7 @@ func (c *Coordinator) reapLocked(now time.Time) {
 		sw.counters.Expired++
 		c.logf("lease %s: worker %q missed its deadline; requeueing sweep %s shard %d",
 			id, l.worker, sw.id, l.part.shard.Index)
-		if rival := c.unlinkRivalLocked(l); rival != nil {
-			c.logf("lease %s: rival %s still racing the partition; no requeue", id, rival.id)
-		} else {
-			c.requeueLocked(sw, l.part, requeueExpired, "lease expired")
-		}
+		c.requeueLocked(sw, l.part, requeueExpired, "lease expired")
 		c.maybeFinishLocked(sw)
 	}
 }
@@ -749,8 +622,6 @@ func (c *Coordinator) sweepStatusLocked(sw *sweep) SweepStatus {
 		Expired:    sw.counters.Expired,
 		Requeues:   sw.counters.Requeues,
 		Replans:    sw.counters.Replans,
-		SpecIssued: sw.counters.SpecIssued,
-		SpecWins:   sw.counters.SpecWins,
 	}
 }
 
@@ -773,18 +644,15 @@ func (c *Coordinator) Status() CoordinatorStatus {
 		st.ExpiredLeases += sw.counters.Expired
 		st.Requeues += sw.counters.Requeues
 		st.Replans += sw.counters.Replans
-		st.SpecIssued += sw.counters.SpecIssued
-		st.SpecWins += sw.counters.SpecWins
 	}
 	for _, l := range c.leases {
 		st.Leases = append(st.Leases, LeaseInfo{
-			ID:          l.id,
-			SweepID:     l.sweepID,
-			Worker:      l.worker,
-			Scenarios:   len(l.part.shard.Items),
-			StartedAt:   l.started,
-			Deadline:    l.deadline,
-			Speculative: l.speculative,
+			ID:        l.id,
+			SweepID:   l.sweepID,
+			Worker:    l.worker,
+			Scenarios: len(l.part.shard.Items),
+			StartedAt: l.started,
+			Deadline:  l.deadline,
 		})
 	}
 	sort.Slice(st.Leases, func(i, j int) bool { return st.Leases[i].ID < st.Leases[j].ID })
@@ -847,17 +715,7 @@ func (c *Coordinator) Merged(id string) ([]core.Result, error) {
 func (c *Coordinator) CostTable() core.CostTable {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return copyCosts(c.costs)
-}
-
-// copyCosts clones a cost table (CostTable.Merge mutates its receiver, so
-// callers that need a stable snapshot copy first).
-func copyCosts(t core.CostTable) core.CostTable {
-	out := make(core.CostTable, len(t))
-	for id, s := range t {
-		out[id] = s
-	}
-	return out
+	return maps.Clone(c.costs)
 }
 
 // Drain stops admitting sweeps and granting leases and tells polling

@@ -38,7 +38,7 @@ const (
 	recSnapshot = "snapshot"
 	// recLease: a partition was granted to a worker.
 	recLease = "lease"
-	// recRelease: a lease left the table (results, fail, expired, discarded).
+	// recRelease: a lease left the table (results, fail, expired).
 	recRelease = "release"
 	// recAccept: a result set was accepted; Ref names its file under
 	// results/.
@@ -53,10 +53,9 @@ const (
 
 // Lease-release reasons (recRelease.Reason).
 const (
-	releaseResults   = "results"
-	releaseFail      = "fail"
-	releaseExpired   = "expired"
-	releaseDiscarded = "discarded"
+	releaseResults = "results"
+	releaseFail    = "fail"
+	releaseExpired = "expired"
 )
 
 // sweepCounters are the per-sweep recovery counters persisted across
@@ -69,11 +68,6 @@ type sweepCounters struct {
 	Requeues int `json:"requeues,omitempty"`
 	// Replans counts recovery partitions built from merge gaps.
 	Replans int `json:"replans,omitempty"`
-	// SpecIssued counts shadow leases issued for straggling primaries;
-	// SpecWins counts rival leases discarded because the other copy of the
-	// partition landed first.
-	SpecIssued int `json:"spec_issued,omitempty"`
-	SpecWins   int `json:"spec_wins,omitempty"`
 }
 
 // record is one journal entry. Kind decides which fields are meaningful;
@@ -94,12 +88,10 @@ type record struct {
 	Ref  string   `json:"ref,omitempty"`
 	// Counters snapshots the sweep's recovery counters (snapshot).
 	Counters *sweepCounters `json:"counters,omitempty"`
-	// Lease/Worker/Shard/Speculative describe a lease (lease, release,
-	// accept).
-	Lease       string `json:"lease,omitempty"`
-	Worker      string `json:"worker,omitempty"`
-	ShardIndex  int    `json:"shard,omitempty"`
-	Speculative bool   `json:"speculative,omitempty"`
+	// Lease/Worker/Shard describe a lease (lease, release, accept).
+	Lease      string `json:"lease,omitempty"`
+	Worker     string `json:"worker,omitempty"`
+	ShardIndex int    `json:"shard,omitempty"`
 	// Reason qualifies a release or requeue.
 	Reason string `json:"reason,omitempty"`
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/shard"
 )
 
@@ -291,140 +290,6 @@ func TestRecoverDuplicateAccept(t *testing.T) {
 	}
 	if st, err := c2.SweepStatus(resp.ID); err != nil || st.State != StateDone {
 		t.Fatalf("sweep after duplicate-accept recovery = (%+v, %v), want done", st, err)
-	}
-}
-
-// TestSpeculativeDoubleSubmission: a predicted straggler's partition is
-// re-issued to a second worker, the first submission to land wins, and
-// the loser's submission bounces as lease-gone — never a duplicate or a
-// conflict in the merged sweep.
-func TestSpeculativeDoubleSubmission(t *testing.T) {
-	clock := newFakeClock()
-	c := NewCoordinator(Options{LeaseTTL: 10 * time.Second, Clock: clock.Now})
-	spec := testSpec()
-	scenarios := testScenarios(spec, 4)
-	resp, err := c.Submit(SubmitRequest{Version: ProtocolVersion, Manifest: testManifest(t, spec, scenarios), Partitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := resp.ID
-
-	l1 := leaseWork(t, c, "w1")
-	l2 := leaseWork(t, c, "w1")
-
-	// Train the cost model to predict far more work than any deadline
-	// leaves: every subsequent idle poll sees l2 as a straggler.
-	ids, err := core.EstimatorIDs(spec.Methods...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	costs := core.CostTable{ids[0]: {PerWorkSeconds: 1e3, AbsSeconds: 1e9}}
-	if err := c.Results(l1.LeaseID, ResultSubmission{
-		Version: ProtocolVersion,
-		Results: fakeResults(l1.Shard.Index, l1.Shard.Items),
-		Costs:   costs,
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// The straggler's own worker never shadows itself.
-	if lr, err := c.Lease(LeaseRequest{Version: ProtocolVersion, Worker: "w1"}); err != nil || lr.Status != LeaseWait {
-		t.Fatalf("self-speculation: (%+v, %v), want wait", lr, err)
-	}
-	shadow, err := c.Lease(LeaseRequest{Version: ProtocolVersion, Worker: "w2"})
-	if err != nil || shadow.Status != LeaseWork {
-		t.Fatalf("shadow lease = (%+v, %v), want work", shadow, err)
-	}
-	if shadow.Shard.Index != l2.Shard.Index || len(shadow.Shard.Items) != len(l2.Shard.Items) {
-		t.Fatalf("shadow carries shard %d, straggler holds %d", shadow.Shard.Index, l2.Shard.Index)
-	}
-	// One shadow per lease: a third worker waits.
-	if lr, err := c.Lease(LeaseRequest{Version: ProtocolVersion, Worker: "w3"}); err != nil || lr.Status != LeaseWait {
-		t.Fatalf("second shadow granted: (%+v, %v)", lr, err)
-	}
-	st := c.Status()
-	if st.SpecIssued != 1 || st.SpecWins != 0 {
-		t.Fatalf("speculation counters after issue: %+v", st)
-	}
-	spec0 := false
-	for _, li := range st.Leases {
-		if li.ID == shadow.LeaseID && li.Speculative {
-			spec0 = true
-		}
-	}
-	if !spec0 {
-		t.Fatalf("shadow lease not marked speculative: %+v", st.Leases)
-	}
-
-	// The shadow lands first; the straggler's lease dies with it.
-	if err := c.Results(shadow.LeaseID, ResultSubmission{Version: ProtocolVersion, Results: fakeResults(shadow.Shard.Index, shadow.Shard.Items)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Results(l2.LeaseID, ResultSubmission{Version: ProtocolVersion, Results: fakeResults(l2.Shard.Index, l2.Shard.Items)}); err == nil || !strings.Contains(err.Error(), "not found") {
-		t.Fatalf("loser's submission = %v, want lease-not-found", err)
-	}
-
-	st = c.Status()
-	if st.SpecWins != 1 {
-		t.Fatalf("speculation win not counted: %+v", st)
-	}
-	sw, err := c.SweepStatus(id)
-	if err != nil || sw.State != StateDone || sw.Completed != len(scenarios) {
-		t.Fatalf("sweep after speculation = (%+v, %v), want done", sw, err)
-	}
-	if merged, err := c.Merged(id); err != nil || len(merged) != len(scenarios) {
-		t.Fatalf("merged after speculation = (%d results, %v)", len(merged), err)
-	}
-}
-
-// TestSpeculationSurvivorCarriesOn: when the original straggler dies (its
-// lease expires) while a shadow is racing it, the partition is NOT
-// requeued — the surviving shadow is the retry.
-func TestSpeculationSurvivorCarriesOn(t *testing.T) {
-	clock := newFakeClock()
-	c := NewCoordinator(Options{LeaseTTL: 10 * time.Second, Clock: clock.Now})
-	spec := testSpec()
-	scenarios := testScenarios(spec, 4)
-	resp, err := c.Submit(SubmitRequest{Version: ProtocolVersion, Manifest: testManifest(t, spec, scenarios), Partitions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	l1 := leaseWork(t, c, "w1")
-	leaseWork(t, c, "w1") // the straggler-to-be
-	ids, err := core.EstimatorIDs(spec.Methods...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Results(l1.LeaseID, ResultSubmission{
-		Version: ProtocolVersion,
-		Results: fakeResults(l1.Shard.Index, l1.Shard.Items),
-		Costs:   core.CostTable{ids[0]: {PerWorkSeconds: 1e3, AbsSeconds: 1e9}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	shadow, err := c.Lease(LeaseRequest{Version: ProtocolVersion, Worker: "w2"})
-	if err != nil || shadow.Status != LeaseWork {
-		t.Fatalf("shadow lease = (%+v, %v)", shadow, err)
-	}
-	// The straggler goes silent past its TTL; the shadow keeps
-	// heartbeating.
-	clock.Advance(8 * time.Second)
-	if err := c.Heartbeat(shadow.LeaseID); err != nil {
-		t.Fatal(err)
-	}
-	clock.Advance(4 * time.Second)
-	st := c.Status()
-	if st.ExpiredLeases != 1 {
-		t.Fatalf("straggler not expired: %+v", st)
-	}
-	if got := st.Sweeps[0].Queued; got != 0 {
-		t.Fatalf("expired straggler requeued despite live shadow: %+v", st.Sweeps[0])
-	}
-	if err := c.Results(shadow.LeaseID, ResultSubmission{Version: ProtocolVersion, Results: fakeResults(shadow.Shard.Index, shadow.Shard.Items)}); err != nil {
-		t.Fatal(err)
-	}
-	if sw, err := c.SweepStatus(resp.ID); err != nil || sw.State != StateDone {
-		t.Fatalf("sweep = (%+v, %v), want done", sw, err)
 	}
 }
 

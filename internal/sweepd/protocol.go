@@ -74,8 +74,6 @@ type LeaseInfo struct {
 	Worker  string `json:"worker"`
 	// Scenarios is the partition's scenario count.
 	Scenarios int `json:"scenarios"`
-	// Speculative marks a shadow lease racing a predicted straggler.
-	Speculative bool `json:"speculative,omitempty"`
 	// StartedAt is when the lease was granted; Deadline is when it expires
 	// unless a heartbeat extends it.
 	StartedAt time.Time `json:"started_at"`
@@ -97,14 +95,11 @@ type SweepStatus struct {
 	// Error is set when State is StateFailed.
 	Error string `json:"error,omitempty"`
 	// Recovery counters, cumulative across coordinator restarts (the
-	// journal persists them): leases expired, partitions requeued,
-	// recovery partitions re-planned from merge gaps, and speculative
-	// shadow leases issued/won for this sweep.
-	Expired    int `json:"expired,omitempty"`
-	Requeues   int `json:"requeues,omitempty"`
-	Replans    int `json:"replans,omitempty"`
-	SpecIssued int `json:"spec_issued,omitempty"`
-	SpecWins   int `json:"spec_wins,omitempty"`
+	// journal persists them): leases expired, partitions requeued, and
+	// recovery partitions re-planned from merge gaps for this sweep.
+	Expired  int `json:"expired,omitempty"`
+	Requeues int `json:"requeues,omitempty"`
+	Replans  int `json:"replans,omitempty"`
 }
 
 // CoordinatorStatus is the service-wide view: every sweep plus the fleet
@@ -121,11 +116,6 @@ type CoordinatorStatus struct {
 	// Replans counts recovery partitions created from merge gaps (partial
 	// result sets), as opposed to whole partitions requeued on expiry.
 	Replans int `json:"replans"`
-	// SpecIssued and SpecWins count speculative shadow leases issued
-	// against predicted stragglers and races settled by discarding the
-	// rival lease.
-	SpecIssued int `json:"spec_issued,omitempty"`
-	SpecWins   int `json:"spec_wins,omitempty"`
 	// Ready is false while the coordinator replays its journal; Draining
 	// is true once a graceful shutdown has begun.
 	Ready    bool `json:"ready"`

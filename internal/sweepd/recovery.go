@@ -75,25 +75,14 @@ func (c *Coordinator) Recover() error {
 			if n := idNumber(rec.Lease); n > c.nextLease {
 				c.nextLease = n
 			}
-			// Compaction re-journals still-active leases; only first-grant
-			// records count an issuance (the snapshot counters already hold
-			// the rest).
-			if rec.Speculative && rec.Reason != requeueRecovered {
-				sw.counters.SpecIssued++
-			}
 		case recRelease:
 			sw := c.sweeps[rec.Sweep]
 			if sw == nil {
 				continue
 			}
-			if _, ok := outstanding[rec.Lease]; ok {
-				delete(outstanding, rec.Lease)
-			}
-			switch rec.Reason {
-			case releaseExpired:
+			delete(outstanding, rec.Lease)
+			if rec.Reason == releaseExpired {
 				sw.counters.Expired++
-			case releaseDiscarded:
-				sw.counters.SpecWins++
 			}
 		case recAccept:
 			sw := c.sweeps[rec.Sweep]
@@ -248,10 +237,7 @@ func (c *Coordinator) compactLocked() {
 		l := c.leases[id]
 		recs = append(recs, record{
 			Kind: recLease, Sweep: l.sweepID, Lease: id, Worker: l.worker,
-			ShardIndex: l.part.shard.Index, Speculative: l.speculative,
-			// requeueRecovered doubles as the "re-journaled, not newly
-			// granted" marker so replay does not recount SpecIssued.
-			Reason: requeueRecovered,
+			ShardIndex: l.part.shard.Index,
 		})
 	}
 	if err := c.journal.Compact(recs); err != nil {

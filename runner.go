@@ -96,18 +96,6 @@ func NewFileCacheBackend(dir string) (CacheBackend, error) { return core.NewFile
 // sweep.
 func WithCacheBackend(b CacheBackend) Option { return core.WithCacheBackend(b) }
 
-// WithDeadlineSkipping enables or disables deadline-aware scheduling
-// (default enabled): when the batch context carries a deadline, scenarios
-// whose predicted cost (from the Runner's observed estimator timings)
-// exceeds the remaining time are reported as skipped — wrapping
-// ErrDeadlineSkipped, never cached — instead of being started and
-// aborted.
-func WithDeadlineSkipping(enabled bool) Option { return core.WithDeadlineSkipping(enabled) }
-
-// ErrDeadlineSkipped marks scenarios refused by deadline-aware
-// scheduling; match it with errors.Is on Result.Err.
-var ErrDeadlineSkipped = core.ErrDeadlineSkipped
-
 // ResetEstimateCache empties the process-wide default result cache. A
 // Runner configured with its own backend via WithCacheBackend is
 // unaffected — reset that one with Runner.ResetEstimateCache, which goes

@@ -250,7 +250,7 @@ func TestSweepServiceCoordinatorCrashRecovery(t *testing.T) {
 	golden := runBinary(t, bin, append([]string{"-experiment", "table4", "-format", "csv"}, reducedFlags...)...)
 
 	stateDir := filepath.Join(t.TempDir(), "state")
-	serveArgs := []string{"-state-dir", stateDir, "-lease", "2s", "-partitions", "6", "-speculate=false"}
+	serveArgs := []string{"-state-dir", stateDir, "-lease", "2s", "-partitions", "6"}
 	coord, url := startCoordinator(t, bin, serveArgs...)
 	client, err := sweepd.NewClient(url, nil)
 	if err != nil {
