@@ -27,7 +27,7 @@ func ringGenerator(n int) *CSR {
 func TestStationaryCTMCContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := StationaryCTMCContext(ctx, ringGenerator(50), GaussSeidelOptions{}); !errors.Is(err, context.Canceled) {
+	if _, err := StationaryCTMCContext(ctx, ringGenerator(50), PowerOptions{}); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled power iteration returned %v, want context.Canceled", err)
 	}
 }
@@ -60,7 +60,7 @@ func TestContextWrappersStillSolve(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	power, err := StationaryCTMC(q, GaussSeidelOptions{})
+	power, err := StationaryCTMC(q, PowerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,23 +79,14 @@ func TestContextWrappersStillSolve(t *testing.T) {
 // iteration's.
 func TestStationaryDispatch(t *testing.T) {
 	ctx := context.Background()
-	// A ring with uneven rates, so the two solvers round differently.
-	ring := func(n int) *CSR {
-		entries := make([]Coord, 0, 2*n)
-		for i := 0; i < n; i++ {
-			rate := 1 + float64(i%3)
-			entries = append(entries, Coord{Row: i, Col: (i + 1) % n, Val: rate}, Coord{Row: i, Col: i, Val: -rate})
-		}
-		return NewCSR(n, n, entries)
-	}
 	for _, tc := range []struct {
 		n     int
 		solve func(*CSR) ([]float64, error)
 	}{
 		{10, func(q *CSR) ([]float64, error) { return StationaryCTMCDirectContext(ctx, q) }},
-		{directMaxStates + 1, func(q *CSR) ([]float64, error) { return StationaryCTMCContext(ctx, q, GaussSeidelOptions{}) }},
+		{directMaxStates + 1, func(q *CSR) ([]float64, error) { return StationaryCTMCContext(ctx, q, PowerOptions{}) }},
 	} {
-		q := ring(tc.n)
+		q := unevenRing(tc.n) // uneven rates, so the two solvers round differently
 		want, err := tc.solve(q)
 		if err != nil {
 			t.Fatal(err)

@@ -1,8 +1,8 @@
 // Package linalg provides the small amount of dense and sparse linear
 // algebra needed to solve continuous-time Markov chains numerically:
 // LU factorization with partial pivoting for direct steady-state solves,
-// Gauss–Seidel and power iteration for large sparse generators, and basic
-// vector utilities.
+// uniformized power iteration for large sparse generators, and basic vector
+// utilities.
 package linalg
 
 import (
@@ -119,13 +119,19 @@ func Factorize(a *Dense) (*LU, error) {
 
 // FactorizeContext is Factorize with cooperative cancellation: the O(n³)
 // elimination polls the context every few columns and aborts mid-factorize
-// with ctx.Err() when it is cancelled.
+// with ctx.Err() when it is cancelled. It leaves a unmodified.
 func FactorizeContext(ctx context.Context, a *Dense) (*LU, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("linalg: cannot factorize %dx%d non-square matrix", a.Rows, a.Cols)
 	}
-	n := a.Rows
-	lu := a.Clone()
+	return factorizeInPlace(ctx, a.Clone())
+}
+
+// factorizeInPlace is FactorizeContext without the copy: it overwrites the
+// square matrix lu with its factors and keeps it as the returned LU's
+// storage.
+func factorizeInPlace(ctx context.Context, lu *Dense) (*LU, error) {
+	n := lu.Rows
 	pivot := make([]int, n)
 	sign := 1
 	for k := 0; k < n; k++ {

@@ -217,7 +217,7 @@ func twoStateGenerator(a, b float64) *CSR {
 func TestStationaryTwoState(t *testing.T) {
 	q := twoStateGenerator(2, 3)
 	for name, solve := range map[string]func(*CSR) ([]float64, error){
-		"power":  func(q *CSR) ([]float64, error) { return StationaryCTMC(q, GaussSeidelOptions{}) },
+		"power":  func(q *CSR) ([]float64, error) { return StationaryCTMC(q, PowerOptions{}) },
 		"direct": StationaryCTMCDirect,
 	} {
 		pi, err := solve(q)
@@ -257,7 +257,7 @@ func TestStationaryMM1K(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	piPower, err := StationaryCTMC(q, GaussSeidelOptions{})
+	piPower, err := StationaryCTMC(q, PowerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,20 +86,34 @@ func (m *CSR) MulVec(x []float64) []float64 {
 
 // VecMul returns x^T * m.
 func (m *CSR) VecMul(x []float64) []float64 {
-	if len(x) != m.RowsN {
-		panic(fmt.Sprintf("linalg: CSR VecMul dimension mismatch: %d vs %d", m.RowsN, len(x)))
-	}
 	y := make([]float64, m.ColsN)
-	for i := 0; i < m.RowsN; i++ {
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			y[m.ColIdx[k]] += xi * m.Val[k]
-		}
-	}
+	m.VecMulTo(y, x)
 	return y
+}
+
+// VecMulTo writes x^T * m into dst, which it zeroes first, and allocates
+// nothing: the in-place kernel of the iterative solvers. dst must not alias
+// x.
+func (m *CSR) VecMulTo(dst, x []float64) {
+	if len(x) != m.RowsN || len(dst) != m.ColsN {
+		panic(fmt.Sprintf("linalg: CSR VecMul dimension mismatch: %dx%d matrix, %d vec, %d dst", m.RowsN, m.ColsN, len(x), len(dst)))
+	}
+	clear(dst)
+	for i, xi := range x {
+		m.scatterRow(dst, i, xi)
+	}
+}
+
+// scatterRow adds xi times row i to dst, in the row's column order.
+func (m *CSR) scatterRow(dst []float64, i int, xi float64) {
+	if xi == 0 {
+		return
+	}
+	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
+	vals := m.Val[lo:hi]
+	for k, c := range m.ColIdx[lo:hi] {
+		dst[c] += xi * vals[k]
+	}
 }
 
 // ToDense expands the matrix; intended for tests and small systems.
@@ -113,10 +127,10 @@ func (m *CSR) ToDense() *Dense {
 	return d
 }
 
-// GaussSeidelOptions configures the iterative stationary solver.
-type GaussSeidelOptions struct {
-	MaxIter int     // maximum sweeps (default 10000)
-	Tol     float64 // L1 change tolerance (default 1e-12)
+// PowerOptions configures StationaryCTMCContext's power iteration.
+type PowerOptions struct {
+	MaxIter int     // maximum iterations (default 20000)
+	Tol     float64 // L1 change between iterates that counts as converged (default 1e-13)
 }
 
 // solveCancelStride is how many iterations of a linear-algebra loop pass
@@ -127,18 +141,22 @@ const solveCancelStride = 16
 
 // StationaryCTMC solves pi Q = 0, sum(pi) = 1 for an irreducible CTMC
 // generator Q given in CSR form (rows = source states, Q[i][j] = rate i->j,
-// diagonal = -sum of row). It uses the standard transformation to a DTMC via
-// uniformization followed by power iteration, which is robust for the
-// moderately sized generators produced by reachability analysis.
-func StationaryCTMC(q *CSR, opt GaussSeidelOptions) ([]float64, error) {
+// diagonal = -sum of row). It uniformizes Q into the DTMC P = I + Q/lambda
+// and power-iterates pi <- pi P from the uniform vector until the L1 change
+// between iterates drops below opt.Tol. If opt.MaxIter iterations pass
+// without that, it returns the last iterate and no error: the caller cannot
+// tell a converged vector from an unconverged one.
+func StationaryCTMC(q *CSR, opt PowerOptions) ([]float64, error) {
 	return StationaryCTMCContext(context.Background(), q, opt)
 }
 
 // StationaryCTMCContext is StationaryCTMC with cooperative cancellation:
-// the power loop polls the context every few sweeps and aborts mid-solve
+// the power loop polls the context every few iterations and aborts mid-solve
 // with ctx.Err() when it is cancelled, so a large chain does not hold its
-// caller hostage until convergence.
-func StationaryCTMCContext(ctx context.Context, q *CSR, opt GaussSeidelOptions) ([]float64, error) {
+// caller hostage until convergence. The loop rotates three vectors
+// allocated up front, so its allocations do not grow with the iteration
+// count.
+func StationaryCTMCContext(ctx context.Context, q *CSR, opt PowerOptions) ([]float64, error) {
 	if q.RowsN != q.ColsN {
 		return nil, fmt.Errorf("linalg: generator must be square, got %dx%d", q.RowsN, q.ColsN)
 	}
@@ -160,44 +178,48 @@ func StationaryCTMCContext(ctx context.Context, q *CSR, opt GaussSeidelOptions) 
 			}
 		}
 	}
-	if maxExit == 0 {
-		// No transitions at all: any distribution is stationary; return uniform.
-		pi := make([]float64, n)
-		for i := range pi {
-			pi[i] = 1 / float64(n)
-		}
-		return pi, nil
-	}
-	lambda := maxExit * 1.02
-	// P = I + Q/lambda. Power-iterate pi <- pi P.
 	pi := make([]float64, n)
 	for i := range pi {
 		pi[i] = 1 / float64(n)
 	}
+	if maxExit == 0 {
+		// No transitions at all: any distribution is stationary; return uniform.
+		return pi, nil
+	}
+	lambda := maxExit * 1.02
+	// P = I + Q/lambda; power-iterate pi <- pi P = pi + (pi Q)/lambda. prod
+	// holds pi Q for the current pi. Every operation keeps the operands and
+	// order of the textbook loop (product, step, sum, normalize), so the
+	// iterates are the same to the bit.
+	next := make([]float64, n)
+	prod := make([]float64, n)
+	q.VecMulTo(prod, pi)
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		if iter%solveCancelStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		next := q.VecMul(pi)
-		for i := range next {
-			next[i] = pi[i] + next[i]/lambda
-		}
-		// Normalize to fight drift.
 		sum := 0.0
-		for _, v := range next {
+		for i, v := range prod {
+			v = pi[i] + v/lambda
+			next[i] = v
 			sum += v
 		}
 		if sum <= 0 || math.IsNaN(sum) {
 			return nil, fmt.Errorf("linalg: power iteration diverged at iteration %d", iter)
 		}
+		// Normalize to fight drift, scattering each finished entry into the
+		// next iteration's product while it is at hand.
+		clear(prod)
 		diff := 0.0
-		for i := range next {
-			next[i] /= sum
-			diff += math.Abs(next[i] - pi[i])
+		for i, v := range next {
+			v /= sum
+			next[i] = v
+			diff += math.Abs(v - pi[i])
+			q.scatterRow(prod, i, v)
 		}
-		pi = next
+		pi, next = next, pi
 		if diff < opt.Tol {
 			return pi, nil
 		}
@@ -217,7 +239,7 @@ func Stationary(ctx context.Context, q *CSR) ([]float64, error) {
 	if q.RowsN <= directMaxStates {
 		return StationaryCTMCDirectContext(ctx, q)
 	}
-	return StationaryCTMCContext(ctx, q, GaussSeidelOptions{})
+	return StationaryCTMCContext(ctx, q, PowerOptions{})
 }
 
 // StationaryCTMCDirect solves pi Q = 0 with a dense LU factorization by
@@ -229,7 +251,8 @@ func StationaryCTMCDirect(q *CSR) ([]float64, error) {
 
 // StationaryCTMCDirectContext is StationaryCTMCDirect with cooperative
 // cancellation threaded into the O(n³) factorization, which dominates the
-// solve for the chains this path is chosen for.
+// solve for the chains this path is chosen for. It factorizes the dense
+// matrix it builds in place, without FactorizeContext's copy.
 func StationaryCTMCDirectContext(ctx context.Context, q *CSR) ([]float64, error) {
 	if q.RowsN != q.ColsN {
 		return nil, fmt.Errorf("linalg: generator must be square, got %dx%d", q.RowsN, q.ColsN)
@@ -247,7 +270,7 @@ func StationaryCTMCDirectContext(ctx context.Context, q *CSR) ([]float64, error)
 	}
 	b := make([]float64, n)
 	b[n-1] = 1
-	f, err := FactorizeContext(ctx, a)
+	f, err := factorizeInPlace(ctx, a)
 	if err != nil {
 		return nil, fmt.Errorf("linalg: direct stationary solve: %w", err)
 	}

@@ -108,7 +108,8 @@ func (c *CTMC) Transient(pi0 []float64, t float64, eps float64) ([]float64, erro
 // TransientContext is Transient with cooperative cancellation: the
 // uniformization loop polls the context every few matrix-vector products
 // and aborts mid-solve with ctx.Err() when it is cancelled — for stiff
-// chains (large lambda*t) the loop runs tens of thousands of products.
+// chains (large lambda*t) the loop runs tens of thousands of products. The
+// products reuse one buffer, so allocations do not grow with t.
 func (c *CTMC) TransientContext(ctx context.Context, pi0 []float64, t float64, eps float64) ([]float64, error) {
 	n := c.Len()
 	if len(pi0) != n {
@@ -138,6 +139,7 @@ func (c *CTMC) TransientContext(ctx context.Context, pi0 []float64, t float64, e
 	lam *= 1.02
 	// v_k = pi0 * P^k with P = I + Q/lam; result = sum poisson(k; lam t) v_k.
 	v := append([]float64(nil), pi0...)
+	qv := make([]float64, n)
 	out := make([]float64, n)
 	// Poisson weights computed iteratively in log space to avoid overflow.
 	lt := lam * t
@@ -161,7 +163,7 @@ func (c *CTMC) TransientContext(ctx context.Context, pi0 []float64, t float64, e
 			return nil, fmt.Errorf("markov: uniformization did not converge (lambda*t = %v)", lt)
 		}
 		// Advance v <- v P and the Poisson weight.
-		qv := q.VecMul(v)
+		q.VecMulTo(qv, v)
 		for i := range v {
 			v[i] += qv[i] / lam
 		}

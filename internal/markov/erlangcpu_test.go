@@ -142,3 +142,16 @@ func BenchmarkErlangCPUSolveK8(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkErlangCPUSolveK64 is X-1's costliest solve: the 3965-state chain
+// at the CLI's longest power-up delay, which runs the power iteration to its
+// iteration cap.
+func BenchmarkErlangCPUSolveK64(b *testing.B) {
+	e := ErlangCPU{Lambda: 1, Mu: 10, T: 0.5, D: 10, K: 64}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := e.Solve(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
