@@ -460,14 +460,30 @@ func BenchmarkSensorNode(b *testing.B) {
 	}
 }
 
-// BenchmarkServeSweepLocal measures the sweep service's orchestration
-// overhead: an in-process coordinator and one worker, submitting and
-// completing a whole Figure 5 sweep per iteration over loopback HTTP. The
-// shared result cache is warmed before the timer, so every iteration's
-// scenarios are cache hits and the protocol — submit, lease, heartbeat
-// bookkeeping, result submission, merge, status polling — dominates, not
-// the simulations.
+// BenchmarkServeSweepLocal measures a warm resubmission through the sweep
+// service: an in-process coordinator and one worker over loopback HTTP,
+// submitting a whole Figure 5 sweep per iteration. A first, untimed sweep
+// fills the coordinator's result cache, so every timed sweep is resolved
+// at submit from that cache — the timer covers submit-time resolution
+// (cache lookups and the resolved result set), status polling and the
+// merge; no partition is leased.
 func BenchmarkServeSweepLocal(b *testing.B) {
+	benchServeSweep(b, false)
+}
+
+// BenchmarkServeSweepLeased is BenchmarkServeSweepLocal with the worker
+// off the coordinator's cache (DisableRemoteCache). The coordinator's
+// cache stays empty, so every timed sweep is leased partition by
+// partition and served from the worker's in-process cache: the timer
+// covers the lease protocol — submit, lease, result submission, merge,
+// status polling — not the simulations.
+func BenchmarkServeSweepLeased(b *testing.B) {
+	benchServeSweep(b, true)
+}
+
+// benchServeSweep times warm Figure 5 sweeps through an in-process
+// coordinator and one worker.
+func benchServeSweep(b *testing.B, workerLocalCache bool) {
 	coord := sweepd.NewCoordinator(sweepd.Options{DefaultPartitions: 4})
 	srv := httptest.NewServer(sweepd.Handler(coord))
 	defer srv.Close()
@@ -496,11 +512,12 @@ func BenchmarkServeSweepLocal(b *testing.B) {
 	workerDone := make(chan error, 1)
 	go func() {
 		workerDone <- sweepd.Work(ctx, sweepd.WorkerOptions{
-			Coordinator: srv.URL,
-			Name:        "bench",
-			Parallelism: 2,
-			Client:      srv.Client(),
-			Backoff:     sweepd.Backoff{Base: 100 * time.Microsecond, Max: time.Millisecond, Factor: 2},
+			Coordinator:        srv.URL,
+			Name:               "bench",
+			Parallelism:        2,
+			Client:             srv.Client(),
+			Backoff:            sweepd.Backoff{Base: 100 * time.Microsecond, Max: time.Millisecond, Factor: 2},
+			DisableRemoteCache: workerLocalCache,
 		})
 	}()
 	runSweep := func() {
@@ -522,7 +539,7 @@ func BenchmarkServeSweepLocal(b *testing.B) {
 			time.Sleep(200 * time.Microsecond)
 		}
 	}
-	runSweep() // warm the shared result cache
+	runSweep() // warm the result cache
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -413,20 +413,45 @@ func (r *Runner) scenarioSeed(cfg Config) uint64 {
 	return h
 }
 
-// effectiveConfig materializes a scenario's configuration against the base.
-func (r *Runner) effectiveConfig(s Scenario) (Config, error) {
+// resolve materializes a scenario's effective configuration against the
+// base, validates it, and — with caching on — looks each estimator's unit
+// of work up in the backend, storing every hit into ests (one slot per
+// estimator). It returns the configuration and how many units missed.
+// With whole set it stops at the first miss, for callers that only want
+// scenarios the cache answers completely. A backend error is a miss: the
+// cache is best-effort, so a degraded backend slows a sweep down but never
+// fails or changes it.
+func (r *Runner) resolve(s Scenario, ests []*Estimate, whole bool) (Config, int, error) {
 	cfg := s.Config
 	if cfg == (Config{}) {
 		cfg = r.base
 	} else if cfg.Lambda == 0 {
 		// A half-filled Config (some knobs set, no arrival rate) is
 		// ambiguous: refusing beats silently substituting base values.
-		return Config{}, fmt.Errorf("partial scenario config (Lambda unset); copy Runner.BaseConfig() and modify it")
+		return Config{}, 0, fmt.Errorf("partial scenario config (Lambda unset); copy Runner.BaseConfig() and modify it")
 	}
 	if r.deriveSeeds {
 		cfg.Seed = r.scenarioSeed(cfg)
 	}
-	return cfg, nil
+	if err := cfg.Validate(); err != nil {
+		return Config{}, 0, err
+	}
+	if !r.cache {
+		return cfg, len(ests), nil
+	}
+	misses := 0
+	for ei := range ests {
+		est, ok, err := r.backend.Get(r.cacheKey(cfg, ei))
+		if err != nil || !ok {
+			misses++
+			if whole {
+				return cfg, misses, nil
+			}
+			continue
+		}
+		ests[ei] = &est
+	}
+	return cfg, misses, nil
 }
 
 // cacheKey derives the canonical cache key of the ei-th estimator's unit
@@ -435,15 +460,32 @@ func (r *Runner) cacheKey(cfg Config, ei int) CacheKey {
 	return CacheKey{Config: cfg, Method: r.estimators[ei].Name(), Estimator: r.estIDs[ei]}
 }
 
-// cacheLookup consults the Runner's backend; a backend error is a miss
-// (the cache is best-effort — a degraded backend slows the sweep down but
-// never fails or changes it).
-func (r *Runner) cacheLookup(key CacheKey) (*Estimate, bool) {
-	est, ok, err := r.backend.Get(key)
-	if err != nil || !ok {
-		return nil, false
+// Cached answers the scenarios the Runner's cache backend holds whole: a
+// Result (Index, Scenario, Seed, Estimates) for each scenario whose every
+// estimator hits, in input order. It runs no estimator, skips a scenario
+// at its first miss or on an invalid configuration, and returns nil when
+// caching is off. A sweep coordinator calls it to complete cached
+// scenarios without leasing them; RunAll of the same scenarios returns
+// bit-identical Results for them.
+func (r *Runner) Cached(scenarios []Scenario) []Result {
+	if !r.cache {
+		return nil
 	}
-	return &est, true
+	var out []Result
+	var ests []*Estimate
+	for i, s := range scenarios {
+		if ests == nil {
+			ests = make([]*Estimate, len(r.estimators))
+		}
+		cfg, misses, err := r.resolve(s, ests, true)
+		if err != nil || misses > 0 {
+			clear(ests)
+			continue
+		}
+		out = append(out, Result{Index: i, Scenario: s, Seed: cfg.Seed, Estimates: ests})
+		ests = nil
+	}
+	return out
 }
 
 // runPair evaluates one (scenario config, estimator) unit of work and, when
@@ -516,26 +558,13 @@ func (r *Runner) RunBatch(ctx context.Context, scenarios []Scenario) (<-chan Res
 	nE := len(r.estimators)
 	out := make(chan Result)
 
-	// Materialize every scenario's effective config up front: it is cheap,
-	// deterministic, and lets config errors surface as immediate results
-	// without occupying workers.
 	states := make([]*scenarioState, len(scenarios))
 	for i, s := range scenarios {
-		st := &scenarioState{res: Result{Index: i, Scenario: s}}
-		cfg, err := r.effectiveConfig(s)
-		if err == nil {
-			err = cfg.Validate()
+		states[i] = &scenarioState{
+			res:  Result{Index: i, Scenario: s},
+			ests: make([]*Estimate, nE),
+			errs: make([]error, nE),
 		}
-		if err != nil {
-			st.res.Err = fmt.Errorf("core: scenario %d (%s): %w", i, s.Name, err)
-		} else {
-			st.cfg = cfg
-			st.res.Seed = cfg.Seed
-			st.ests = make([]*Estimate, nE)
-			st.errs = make([]error, nE)
-			st.pending.Store(int32(nE))
-		}
-		states[i] = st
 	}
 
 	type unit struct{ si, ei int }
@@ -586,30 +615,27 @@ func (r *Runner) RunBatch(ctx context.Context, scenarios []Scenario) (<-chan Res
 		defer wg.Done()
 		defer close(jobs)
 		for si, st := range states {
-			if st.res.Err != nil {
-				// Config-level failure: no units to run, emit directly.
+			// Feed-time resolution: materialize the scenario's config and
+			// prefill its cache hits before dispatching, so config errors
+			// and memoized scenarios — the Figure-4/Figure-5 sharing
+			// pattern — complete without a worker round-trip per
+			// estimator. None of the scenario's units have been fed yet,
+			// so the feeder owns its state exclusively here.
+			cfg, misses, err := r.resolve(st.res.Scenario, st.ests, false)
+			if err != nil {
+				st.res.Err = fmt.Errorf("core: scenario %d (%s): %w", si, st.res.Scenario.Name, err)
 				emit(st.res)
 				continue
 			}
-			if r.cache {
-				// Feed-time prefill: resolve cache hits before dispatching,
-				// so memoized scenarios — the Figure-4/Figure-5 sharing
-				// pattern — complete without a worker round-trip per
-				// estimator. None of the scenario's units have been fed
-				// yet, so the feeder owns its state exclusively here.
-				for ei := range r.estimators {
-					if est, ok := r.cacheLookup(r.cacheKey(st.cfg, ei)); ok {
-						st.ests[ei] = est
-						st.pending.Add(-1)
-					}
-				}
-				if st.pending.Load() == 0 {
-					emit(st.finish())
-					continue
-				}
+			st.cfg = cfg
+			st.res.Seed = cfg.Seed
+			if misses == 0 {
+				emit(st.finish())
+				continue
 			}
-			for ei := 0; ei < nE; ei++ {
-				if st.ests[ei] != nil {
+			st.pending.Store(int32(misses))
+			for ei, est := range st.ests {
+				if est != nil {
 					continue // prefilled from the cache
 				}
 				select {

@@ -188,3 +188,86 @@ func TestRunnerLooksUpEachUnitOnce(t *testing.T) {
 		}
 	}
 }
+
+// cachedTestRunner builds a markov + counting Runner over backend; the
+// counting estimator proves Cached never runs an estimator.
+func cachedTestRunner(t *testing.T, backend CacheBackend, calls *atomic.Int64, opts ...RunnerOption) *Runner {
+	t.Helper()
+	ests, err := NewEstimators("markov")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ests = append(ests, AdaptEstimator(countingEstimator{calls: calls}))
+	r, err := NewRunner(append([]RunnerOption{
+		WithConfig(PaperConfig()), WithSeed(77), WithEstimators(ests...), WithCacheBackend(backend),
+	}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// TestRunnerCached: Cached answers exactly the scenarios whose every
+// estimator hits, bit-identical to RunAll and without running anything;
+// it skips partial hits and invalid configs, and is off with the cache.
+func TestRunnerCached(t *testing.T) {
+	var calls atomic.Int64
+	backend := NewMemoryBackend()
+	r := cachedTestRunner(t, backend, &calls)
+	scenarios := pdtSweep(r.BaseConfig(), []float64{0, 0.25, 0.5, 0.75})
+	scenarios[1].Name = "named"
+	want, err := r.RunAll(context.Background(), scenarios[:3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Scenario 3 is cached for markov only: one estimator misses.
+	markovOnly, err := NewRunner(WithConfig(PaperConfig()), WithSeed(77), WithMethods("markov"), WithCacheBackend(backend))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := markovOnly.RunAll(context.Background(), scenarios[3:]); err != nil {
+		t.Fatal(err)
+	}
+
+	partial := r.BaseConfig()
+	partial.Lambda = 0 // a half-filled config: rejected, not guessed at
+	invalid := r.BaseConfig()
+	invalid.Mu = -1
+	batch := append(append([]Scenario(nil), scenarios...),
+		Scenario{Name: "partial", Config: partial},
+		Scenario{Name: "invalid", Config: invalid},
+		scenarios[0])
+	ran := calls.Load()
+	got := r.Cached(batch)
+	if calls.Load() != ran {
+		t.Fatalf("Cached ran the estimator %d times", calls.Load()-ran)
+	}
+	wantIdx := []int{0, 1, 2, 6}
+	refs := []Result{want[0], want[1], want[2], want[0]}
+	if len(got) != len(wantIdx) {
+		t.Fatalf("Cached answered %d scenarios, want %d (indices %v)", len(got), len(wantIdx), wantIdx)
+	}
+	for i, res := range got {
+		ref := refs[i]
+		if res.Index != wantIdx[i] || res.Err != nil || res.Scenario != ref.Scenario || res.Seed != ref.Seed {
+			t.Fatalf("result %d = %+v, want index %d of %+v", i, res, wantIdx[i], ref)
+		}
+		if len(res.Estimates) != len(ref.Estimates) {
+			t.Fatalf("result %d: %d estimates, want %d", i, len(res.Estimates), len(ref.Estimates))
+		}
+		for j := range res.Estimates {
+			if *res.Estimates[j] != *ref.Estimates[j] {
+				t.Fatalf("result %d estimator %d: cached %+v, RunAll %+v", i, j, *res.Estimates[j], *ref.Estimates[j])
+			}
+		}
+	}
+	// Results must not share estimate storage.
+	if &got[0].Estimates[0] == &got[1].Estimates[0] {
+		t.Fatal("Cached results share one estimate slice")
+	}
+
+	off := cachedTestRunner(t, backend, &calls, WithCache(false))
+	if got := off.Cached(scenarios); got != nil {
+		t.Fatalf("Cached with caching off = %+v, want nil", got)
+	}
+}

@@ -53,11 +53,17 @@ type ResultItem struct {
 type ResultSet struct {
 	// Version is ResultSetVersion at write time.
 	Version int `json:"version"`
-	// ShardIndex identifies which shard of the plan produced this set.
+	// ShardIndex identifies which shard of the plan produced this set, or
+	// is ResolvedShardIndex for a set no shard produced.
 	ShardIndex int `json:"shard_index"`
 	// Results lists the shard's completed scenarios.
 	Results []ResultItem `json:"results"`
 }
+
+// ResolvedShardIndex is the ShardIndex of a result set resolved by the
+// coordinator: the scenarios a sweep coordinator answered from its own
+// result cache at submit, without leasing them to any shard.
+const ResolvedShardIndex = -1
 
 // NewResultSet converts a completed shard's Runner results into the wire
 // shape. Every result must be a success: a failed scenario has no

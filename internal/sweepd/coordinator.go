@@ -83,6 +83,20 @@ type sweep struct {
 	counters sweepCounters
 }
 
+// accept folds an accepted result set, journaled under ref ("" without a
+// journal), into the sweep's sets and coverage.
+func (sw *sweep) accept(rs *shard.ResultSet, ref string) {
+	sw.sets = append(sw.sets, rs)
+	if ref != "" {
+		sw.refs = append(sw.refs, ref)
+	}
+	for _, item := range rs.Results {
+		if item.Index >= 0 && item.Index < sw.manifest.Total {
+			sw.covered[item.Index] = true
+		}
+	}
+}
+
 // Coordinator owns sweep state: it re-plans submitted manifests against
 // its cost model, leases partitions, reclaims expired leases, replans
 // merge gaps, and merges completed sweeps. All methods are safe for
@@ -181,13 +195,14 @@ func (c *Coordinator) logf(format string, args ...any) {
 	}
 }
 
-// appendLocked journals one record (nil without a journal); the caller
-// holds c.mu and must not apply the transition if this fails.
-func (c *Coordinator) appendLocked(rec record) error {
+// appendLocked journals records in one durable write (nil without a
+// journal); the caller holds c.mu and must not apply the transition if
+// this fails.
+func (c *Coordinator) appendLocked(recs ...record) error {
 	if c.journal == nil {
 		return nil
 	}
-	return c.journal.Append(rec)
+	return c.journal.Append(recs...)
 }
 
 // appendBestEffortLocked journals one record, degrading a journal error
@@ -205,6 +220,14 @@ func (c *Coordinator) appendBestEffortLocked(rec record) {
 // discarded: the batch is re-planned into the requested partition count
 // with the coordinator's current cost table as weights (placement
 // independence makes this safe; cost weighting makes it fast).
+//
+// Scenarios the coordinator's result cache answers whole are resolved
+// here, before anything is leased: they are persisted and accepted as one
+// result set (shard.ResolvedShardIndex), and only the misses are queued,
+// re-planned into at most the requested partition count. A sweep the
+// cache answers completely is done before Submit returns. Resolution is
+// skipped when the coordinator cannot build the spec's Runner (a method
+// it does not know); the sweep is then leased whole, as if nothing hit.
 func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 	if req.Version != ProtocolVersion {
 		return SubmitResponse{}, fmt.Errorf("sweepd: submit version %d, want %d", req.Version, ProtocolVersion)
@@ -226,6 +249,11 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 	if len(scenarios) == 0 {
 		return SubmitResponse{}, errors.New("sweepd: sweep has no scenarios")
 	}
+	// Cache lookups need no coordinator state, so they run before the lock.
+	var hits []core.Result
+	if runner, err := req.Manifest.Runner.NewRunner(core.WithCacheBackend(c.cache)); err == nil {
+		hits = runner.Cached(scenarios)
+	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -240,25 +268,50 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 	m.Extra = req.Manifest.Extra
 
 	id := fmt.Sprintf("s%d", c.nextSweep+1)
-	if err := c.appendLocked(record{Kind: recSubmit, Sweep: id, Manifest: m}); err != nil {
-		return SubmitResponse{}, err
-	}
-	c.nextSweep++
 	sw := &sweep{
 		id:       id,
 		manifest: m,
 		state:    StateRunning,
 		covered:  make(map[int]bool, m.Total),
 	}
-	for _, s := range m.Shards {
+	recs := []record{{Kind: recSubmit, Sweep: id, Manifest: m}}
+	queue := m.Shards
+	if len(hits) > 0 {
+		resolved, err := shard.NewResultSet(shard.ResolvedShardIndex, hits)
+		if err != nil {
+			return SubmitResponse{}, err
+		}
+		var ref string
+		if c.journal != nil {
+			if ref, err = c.journal.WriteResults(id, resolved); err != nil {
+				return SubmitResponse{}, err
+			}
+		}
+		// The accept follows the submit in the same write: a tear between
+		// them replays as a sweep with nothing resolved, which re-plans all.
+		recs = append(recs, record{Kind: recAccept, Sweep: id, Ref: ref})
+		sw.accept(resolved, ref)
+		queue = nil
+		if missing := m.MissingFrom(sw.covered); len(missing) > 0 {
+			if queue, err = shard.Replan(m, missing, min(parts, len(missing))); err != nil {
+				return SubmitResponse{}, err
+			}
+		}
+	}
+	if err := c.appendLocked(recs...); err != nil {
+		return SubmitResponse{}, err
+	}
+	c.nextSweep++
+	for _, s := range queue {
 		if len(s.Items) > 0 {
 			sw.queue = append(sw.queue, pending{shard: s})
 		}
 	}
 	c.sweeps[sw.id] = sw
 	c.order = append(c.order, sw.id)
-	c.logf("sweep %s admitted: experiment=%q scenarios=%d partitions=%d",
-		sw.id, m.Experiment, m.Total, len(sw.queue))
+	c.logf("sweep %s admitted: experiment=%q scenarios=%d resolved=%d partitions=%d",
+		sw.id, m.Experiment, m.Total, len(hits), len(sw.queue))
+	c.maybeFinishLocked(sw)
 	return SubmitResponse{ID: sw.id}, nil
 }
 
@@ -402,19 +455,19 @@ func (c *Coordinator) Results(leaseID string, sub ResultSubmission) error {
 	sw := c.sweeps[l.sweepID]
 
 	// Durability first: persist the set, journal the release and the
-	// acceptance by reference, and only then mutate state. On journal
-	// failure the worker sees an error and retries; an orphaned result
-	// file is harmless.
+	// acceptance by reference in one write, and only then mutate state. On
+	// journal failure the worker sees an error and retries; an orphaned
+	// result file is harmless.
 	var ref string
 	if c.journal != nil {
 		var err error
 		if ref, err = c.journal.WriteResults(sw.id, sub.Results); err != nil {
 			return err
 		}
-		if err := c.journal.Append(record{Kind: recRelease, Sweep: sw.id, Lease: leaseID, Reason: releaseResults}); err != nil {
-			return err
-		}
-		if err := c.journal.Append(record{Kind: recAccept, Sweep: sw.id, Lease: leaseID, Ref: ref}); err != nil {
+		if err := c.journal.Append(
+			record{Kind: recRelease, Sweep: sw.id, Lease: leaseID, Reason: releaseResults},
+			record{Kind: recAccept, Sweep: sw.id, Lease: leaseID, Ref: ref},
+		); err != nil {
 			return err
 		}
 	}
@@ -422,15 +475,7 @@ func (c *Coordinator) Results(leaseID string, sub ResultSubmission) error {
 	sw.active--
 
 	c.costs = c.costs.Merge(sub.Costs)
-	sw.sets = append(sw.sets, sub.Results)
-	if ref != "" {
-		sw.refs = append(sw.refs, ref)
-	}
-	for _, item := range sub.Results.Results {
-		if item.Index >= 0 && item.Index < sw.manifest.Total {
-			sw.covered[item.Index] = true
-		}
-	}
+	sw.accept(sub.Results, ref)
 	// A partial submission (worker gave up mid-shard) leaves a gap inside
 	// this partition; replan exactly those indices as a recovery partition.
 	var gap []int

@@ -41,7 +41,8 @@ const (
 	// recRelease: a lease left the table (results, fail, expired).
 	recRelease = "release"
 	// recAccept: a result set was accepted; Ref names its file under
-	// results/.
+	// results/. It carries no Lease when the coordinator resolved the set
+	// from its cache at submit.
 	recAccept = "accept"
 	// recRequeue: a partition re-entered the queue (counter semantics).
 	recRequeue = "requeue"
@@ -149,25 +150,25 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// frame renders one record line: 8 hex CRC32(payload) + space + payload +
-// newline. encoding/json escapes raw newlines, so the newline terminates
-// exactly one record and a torn write is detectable as a CRC mismatch or a
-// missing terminator.
-func frame(rec record) ([]byte, error) {
-	rec.V = journalVersion
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("sweepd: encoding journal record: %w", err)
+// frames renders records as consecutive lines, ready for one write. A
+// line is 8 hex CRC32(payload) + space + payload + newline. encoding/json
+// escapes raw newlines, so the newline terminates exactly one record and a
+// torn write is detectable as a CRC mismatch or a missing terminator.
+func frames(recs []record) ([]byte, error) {
+	var buf []byte
+	for _, rec := range recs {
+		rec.V = journalVersion
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			return nil, fmt.Errorf("sweepd: encoding journal record: %w", err)
+		}
+		sum := crc32.ChecksumIEEE(payload)
+		buf = hex.AppendEncode(buf, []byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)})
+		buf = append(buf, ' ')
+		buf = append(buf, payload...)
+		buf = append(buf, '\n')
 	}
-	line := make([]byte, 0, len(payload)+10)
-	var crc [4]byte
-	sum := crc32.ChecksumIEEE(payload)
-	crc[0], crc[1], crc[2], crc[3] = byte(sum>>24), byte(sum>>16), byte(sum>>8), byte(sum)
-	line = append(line, []byte(hex.EncodeToString(crc[:]))...)
-	line = append(line, ' ')
-	line = append(line, payload...)
-	line = append(line, '\n')
-	return line, nil
+	return buf, nil
 }
 
 // parseFrame decodes one framed line (without its newline). ok is false
@@ -192,15 +193,19 @@ func parseFrame(line []byte) (record, bool) {
 	return rec, true
 }
 
-// Append durably appends one record: the line is written in a single
-// write syscall to the O_APPEND file and fsync'd before returning, so an
-// acknowledged transition survives a crash immediately after.
-func (j *Journal) Append(rec record) error {
-	line, err := frame(rec)
+// Append durably appends records: their lines go to the O_APPEND file in
+// one write syscall and are fsync'd once before returning, so an
+// acknowledged transition survives a crash immediately after. A crash can
+// still tear a batch between lines, and Load keeps the whole records
+// before the tear, so callers order a batch so that each of its prefixes
+// replays safely (a release before the accept it enables: losing the
+// accept re-plans the lease's scenarios instead of counting them twice).
+func (j *Journal) Append(recs ...record) error {
+	buf, err := frames(recs)
 	if err != nil {
 		return err
 	}
-	if _, err := j.f.Write(line); err != nil {
+	if _, err := j.f.Write(buf); err != nil {
 		return fmt.Errorf("sweepd: appending journal record: %w", err)
 	}
 	if err := j.f.Sync(); err != nil {
@@ -253,23 +258,19 @@ func (j *Journal) Load() ([]record, error) {
 // whenever a sweep completes, so the journal's size tracks the live sweep
 // set instead of growing with history.
 func (j *Journal) Compact(recs []record) error {
+	buf, err := frames(recs)
+	if err != nil {
+		return err
+	}
 	tmp := j.path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
 		return fmt.Errorf("sweepd: creating compaction file: %w", err)
 	}
-	for _, rec := range recs {
-		line, err := frame(rec)
-		if err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-		if _, err := f.Write(line); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return fmt.Errorf("sweepd: writing compaction file: %w", err)
-		}
+	if _, err := f.Write(buf); err != nil {
+		f.Close()
+		os.Remove(tmp)
+		return fmt.Errorf("sweepd: writing compaction file: %w", err)
 	}
 	if err := f.Sync(); err != nil {
 		f.Close()
@@ -298,8 +299,9 @@ func (j *Journal) Compact(recs []record) error {
 
 // WriteResults durably persists an accepted result set under results/ and
 // returns the reference to journal (the file name, state-dir relative).
-// The write is atomic (temp + fsync + rename), so a reference that made it
-// into the journal always points at a complete file.
+// The write is atomic and durable (temp + fsync + rename + directory
+// fsync), so a reference that made it into the journal always points at a
+// complete file, across a power loss too.
 func (j *Journal) WriteResults(sweepID string, rs *shard.ResultSet) (string, error) {
 	name := fmt.Sprintf("%s-%06d.json", sweepID, j.seq.Add(1))
 	path := filepath.Join(j.dir, resultsDir, name)
@@ -329,6 +331,11 @@ func (j *Journal) WriteResults(sweepID string, rs *shard.ResultSet) (string, err
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
 		return "", fmt.Errorf("sweepd: committing result file: %w", err)
+	}
+	// Without the directory fsync a power loss could lose the rename after
+	// the journal already references the file.
+	if err := syncDir(filepath.Dir(path)); err != nil {
+		return "", fmt.Errorf("sweepd: syncing results directory: %w", err)
 	}
 	return filepath.Join(resultsDir, name), nil
 }

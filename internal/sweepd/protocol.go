@@ -13,7 +13,9 @@
 // scenario's seed is derived from its configuration content, the recovered
 // sweep is byte-identical to an uninterrupted single-process run. The
 // coordinator also hosts a remote result cache (core.CacheHandler), so a
-// fleet without a shared filesystem still simulates each grid point once.
+// fleet without a shared filesystem still simulates each grid point once,
+// and answers a submitted sweep's fully cached scenarios from it directly:
+// only the misses are leased.
 package sweepd
 
 import (

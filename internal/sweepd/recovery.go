@@ -14,7 +14,10 @@ import (
 // indices of each running sweep into a fresh queue (shard.Replan over
 // Manifest.MissingFrom). Because scenario seeds derive from configuration
 // content, the recovered sweep's merged output is byte-identical to an
-// uninterrupted run, and no completed scenario is ever re-executed.
+// uninterrupted run, and no completed scenario is ever re-executed. Unlike
+// Submit, replay never consults the result cache: scenarios resolved at
+// submit come back from their journaled accept, and missing ones are
+// re-planned, not looked up.
 //
 // A coordinator without a journal (NewCoordinator, or Open with an empty
 // StateDir) just becomes ready. Recover is not idempotent; call it once,
@@ -196,13 +199,7 @@ func (c *Coordinator) loadResultsLocked(sw *sweep, ref string, haveRef map[strin
 		c.logf("recover: dropping result set %s: %v", ref, err)
 		return
 	}
-	sw.sets = append(sw.sets, rs)
-	sw.refs = append(sw.refs, ref)
-	for _, item := range rs.Results {
-		if item.Index >= 0 && item.Index < sw.manifest.Total {
-			sw.covered[item.Index] = true
-		}
-	}
+	sw.accept(rs, ref)
 }
 
 // compactLocked rewrites the journal as one snapshot record per sweep (in

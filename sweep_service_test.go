@@ -358,6 +358,54 @@ func TestSweepServiceCoordinatorCrashRecovery(t *testing.T) {
 	}
 }
 
+// TestSweepServiceWarmResubmitWithoutWorkers: a resubmitted sweep whose
+// every scenario sits in the coordinator's cache completes at submit, so
+// it needs no worker at all:
+//
+//  1. a durable coordinator and one worker run a Table 4 sweep;
+//  2. the worker is SIGTERMed and exits;
+//  3. the same sweep is resubmitted with no worker attached — it must
+//     complete, lease nothing, and render byte-identically to the
+//     single-process run.
+func TestSweepServiceWarmResubmitWithoutWorkers(t *testing.T) {
+	bin := buildWsnenergy(t)
+	golden := runBinary(t, bin, append([]string{"-experiment", "table4", "-format", "csv"}, reducedFlags...)...)
+
+	stateDir := filepath.Join(t.TempDir(), "state")
+	_, url := startCoordinator(t, bin, "-state-dir", stateDir)
+	client, err := sweepd.NewClient(url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitReady(t, client)
+	sweepArgs := append([]string{"sweep", "-join", url, "-experiment", "table4",
+		"-format", "csv", "-poll", "100ms", "-timeout", "1m"}, reducedFlags...)
+
+	worker := startWorker(t, bin, url, "only", "-parallel", "2")
+	if got := runBinary(t, bin, sweepArgs...); got != golden {
+		t.Fatalf("cold Table 4 differs from single-process run:\n--- single ---\n%s\n--- service ---\n%s", golden, got)
+	}
+	if err := worker.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatalf("SIGTERM worker: %v", err)
+	}
+	_ = worker.Wait()
+
+	hitsBefore := cacheHits(t, url)
+	if got := runBinary(t, bin, sweepArgs...); got != golden {
+		t.Fatalf("warm Table 4 without workers differs from single-process run:\n--- single ---\n%s\n--- service ---\n%s", golden, got)
+	}
+	st, err := client.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Sweeps) != 2 || st.Sweeps[1].State != sweepd.StateDone || len(st.Leases) != 0 {
+		t.Fatalf("warm resubmission did not complete at submit: %+v", st)
+	}
+	if hitsAfter := cacheHits(t, url); hitsAfter <= hitsBefore {
+		t.Fatalf("warm resubmission was not answered from the cache (hits %d -> %d)", hitsBefore, hitsAfter)
+	}
+}
+
 // waitReady polls /v1/readyz until the coordinator finishes journal replay.
 func waitReady(t *testing.T, client *sweepd.Client) {
 	t.Helper()
