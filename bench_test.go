@@ -46,7 +46,7 @@ func BenchmarkFigure4(b *testing.B) {
 	opt := benchOptions()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure4(opt); err != nil {
+		if _, err := experiments.Figure4Ctx(context.Background(), opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -56,7 +56,7 @@ func BenchmarkFigure5(b *testing.B) {
 	opt := benchOptions()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Figure5(opt); err != nil {
+		if _, err := experiments.Figure5Ctx(context.Background(), opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -67,7 +67,7 @@ func BenchmarkTable4(b *testing.B) {
 	opt.PDTs = []float64{0, 0.5, 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table4(opt); err != nil {
+		if _, err := experiments.Table4Ctx(context.Background(), opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -78,7 +78,7 @@ func BenchmarkTable5(b *testing.B) {
 	opt.PDTs = []float64{0, 0.5, 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table5(opt); err != nil {
+		if _, err := experiments.Table5Ctx(context.Background(), opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -87,7 +87,7 @@ func BenchmarkTable5(b *testing.B) {
 func BenchmarkErlangAblation(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.ErlangAblation(opt, []int{1, 8, 32}); err != nil {
+		if _, err := experiments.ErlangAblationCtx(context.Background(), opt, []int{1, 8, 32}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -105,7 +105,7 @@ func BenchmarkPolicyAblation(b *testing.B) {
 func BenchmarkWorkloadComparison(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.WorkloadComparison(opt); err != nil {
+		if _, err := experiments.WorkloadComparisonCtx(context.Background(), opt); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -123,7 +123,7 @@ func BenchmarkCTMCCrossCheck(b *testing.B) {
 func BenchmarkLifetime(b *testing.B) {
 	opt := benchOptions()
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Lifetime(opt, []float64{1}); err != nil {
+		if _, err := experiments.LifetimeCtx(context.Background(), opt, []float64{1}); err != nil {
 			b.Fatal(err)
 		}
 	}

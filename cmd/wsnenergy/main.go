@@ -9,18 +9,17 @@
 //	wsnenergy -experiment fig5 -format csv    # one artifact as CSV
 //	wsnenergy -experiment table4 -reps 30     # higher precision
 //
-// Experiments: table1 table2 table3 fig4 fig5 table4 table5
-// erlang policy workload ctmc lifetime fieldlife fieldbreakdown fielddeath all
+// Experiments, in the order of the artifacts table: table1 table2 table3
+// fig4 fig5 table4 table5 erlang policy workload ctmc lifetime convergence
+// transient network fieldlife fieldbreakdown fielddeath.
 //
-// Whole sensor fields are simulated with the `field` subcommand — see
-// field.go:
+// The subcommands table adds field (field.go), grid (grid.go), petri
+// (petri.go), and serve, work and sweep, which spread the sweep artifacts
+// (fig4, fig5, table4, table5) across worker processes (sweepd.go):
 //
 //	wsnenergy field -nodes 100 -topology tree -rate 0.5
-//
-// The sweep artifacts (fig4, fig5, table4, table5) can also be spread
-// across worker processes, on one machine or many, with the `serve`,
-// `work` and `sweep` subcommands — see sweepd.go:
-//
+//	wsnenergy grid -pdts 0:1:0.1 -puds 0.001,0.3,10 > grid.csv
+//	wsnenergy petri -paper -dot > cpu.dot
 //	wsnenergy serve -listen 127.0.0.1:8080
 //	wsnenergy work  -join http://127.0.0.1:8080
 //	wsnenergy sweep -join http://127.0.0.1:8080 -experiment table4
@@ -39,25 +38,92 @@ import (
 	"repro/internal/report"
 )
 
-// modelFlags groups the model-configuration flags shared by the direct
-// experiment runner and the `sweep` client, so a sweep submitted with the
-// same flag values parameterizes exactly the grid a direct run would
-// evaluate. Execution-local knobs (-parallel) are deliberately not model
-// flags: a manifest records what to compute, each process decides how
-// hard to run it.
+// subcommands are the verbs wsnenergy dispatches on; without one it runs
+// experiments.
+var subcommands = []struct {
+	name string
+	main func(args []string)
+}{
+	{"field", fieldMain},
+	{"serve", serveMain},
+	{"work", workMain},
+	{"sweep", sweepMain},
+	{"grid", gridMain},
+	{"petri", petriMain},
+}
+
+// artifact is one regenerable table or figure: exactly one of table and
+// figure is set.
+type artifact struct {
+	name   string
+	table  func(context.Context, experiments.Options) (*report.Table, error)
+	figure func(context.Context, experiments.Options) (*report.Figure, error)
+}
+
+// artifacts lists every artifact in the order -experiment all runs them.
+var artifacts = []artifact{
+	{name: "table1", table: func(context.Context, experiments.Options) (*report.Table, error) { return experiments.Table1(), nil }},
+	{name: "table2", table: func(_ context.Context, o experiments.Options) (*report.Table, error) {
+		return experiments.Table2(o.Base), nil
+	}},
+	{name: "table3", table: func(_ context.Context, o experiments.Options) (*report.Table, error) {
+		return experiments.Table3(o.Base.Power), nil
+	}},
+	{name: "fig4", figure: experiments.Figure4Ctx},
+	{name: "fig5", figure: experiments.Figure5Ctx},
+	{name: "table4", table: experiments.Table4Ctx},
+	{name: "table5", table: experiments.Table5Ctx},
+	{name: "erlang", table: func(ctx context.Context, o experiments.Options) (*report.Table, error) {
+		return experiments.ErlangAblationCtx(ctx, o, nil)
+	}},
+	{name: "policy", table: func(_ context.Context, o experiments.Options) (*report.Table, error) {
+		return experiments.PolicyAblation(o)
+	}},
+	{name: "workload", table: experiments.WorkloadComparisonCtx},
+	{name: "ctmc", table: func(_ context.Context, o experiments.Options) (*report.Table, error) {
+		return experiments.CTMCCrossCheck(o)
+	}},
+	{name: "lifetime", table: func(ctx context.Context, o experiments.Options) (*report.Table, error) {
+		return experiments.LifetimeCtx(ctx, o, nil)
+	}},
+	{name: "convergence", table: func(_ context.Context, o experiments.Options) (*report.Table, error) {
+		return experiments.Convergence(o, nil)
+	}},
+	{name: "transient", figure: func(_ context.Context, o experiments.Options) (*report.Figure, error) {
+		return experiments.Transient(o, 0, 0, 0)
+	}},
+	{name: "network", table: func(_ context.Context, o experiments.Options) (*report.Table, error) {
+		return experiments.NetworkLifetime(o)
+	}},
+	{name: "fieldlife", table: func(ctx context.Context, o experiments.Options) (*report.Table, error) {
+		return experiments.FieldLifetimeCtx(ctx, o, nil, nil)
+	}},
+	{name: "fieldbreakdown", table: func(ctx context.Context, o experiments.Options) (*report.Table, error) {
+		return experiments.FieldBreakdownCtx(ctx, o, 0)
+	}},
+	{name: "fielddeath", table: func(ctx context.Context, o experiments.Options) (*report.Table, error) {
+		return experiments.FieldDeathCtx(ctx, o, 0)
+	}},
+}
+
+// modelFlags groups the model-configuration flags. addRunFlags registers
+// the ones every grid-evaluating command shares (the experiment runner,
+// the `sweep` client and `grid`); addModelFlags adds the fixed operating
+// point (-pdt, -pud), so a sweep submitted with the same flag values
+// parameterizes exactly the grid a direct run would evaluate.
+// Execution-local knobs (-parallel) are deliberately not model flags: a
+// manifest records what to compute, each process decides how hard to run
+// it.
 type modelFlags struct {
 	lambda, mu, pdt, pud, simTime, warmup *float64
 	reps                                  *int
 	seed                                  *uint64
 }
 
-// addModelFlags registers the model flags on a flag set.
-func addModelFlags(fs *flag.FlagSet) *modelFlags {
+func addRunFlags(fs *flag.FlagSet) *modelFlags {
 	return &modelFlags{
 		lambda:  fs.Float64("lambda", 1, "arrival rate (jobs/s)"),
 		mu:      fs.Float64("mu", 10, "service rate (jobs/s); paper: mean service 0.1 s"),
-		pdt:     fs.Float64("pdt", 0.5, "power down threshold (s) for non-sweep experiments"),
-		pud:     fs.Float64("pud", 0.001, "power up delay (s) for Figure 4/5 sweeps"),
 		simTime: fs.Float64("simtime", 1000, "measured horizon (s), Table 2: 1000"),
 		warmup:  fs.Float64("warmup", 100, "simulated warmup before measurement (s)"),
 		reps:    fs.Int("reps", 10, "replications for stochastic estimators"),
@@ -65,17 +131,25 @@ func addModelFlags(fs *flag.FlagSet) *modelFlags {
 	}
 }
 
+func addModelFlags(fs *flag.FlagSet) *modelFlags {
+	m := addRunFlags(fs)
+	m.pdt = fs.Float64("pdt", 0.5, "power down threshold (s) for non-sweep experiments")
+	m.pud = fs.Float64("pud", 0.001, "power up delay (s) for Figure 4/5 sweeps")
+	return m
+}
+
+// config is the paper configuration with the shared flags applied.
+func (m *modelFlags) config() repro.Config {
+	cfg := repro.PaperConfig()
+	cfg.Lambda, cfg.Mu, cfg.SimTime, cfg.Warmup = *m.lambda, *m.mu, *m.simTime, *m.warmup
+	cfg.Replications, cfg.Seed = *m.reps, *m.seed
+	return cfg
+}
+
 // options materializes the experiment options from the parsed flags.
 func (m *modelFlags) options() (experiments.Options, error) {
-	cfg := repro.PaperConfig()
-	cfg.Lambda = *m.lambda
-	cfg.Mu = *m.mu
-	cfg.PDT = *m.pdt
-	cfg.PUD = *m.pud
-	cfg.SimTime = *m.simTime
-	cfg.Warmup = *m.warmup
-	cfg.Replications = *m.reps
-	cfg.Seed = *m.seed
+	cfg := m.config()
+	cfg.PDT, cfg.PUD = *m.pdt, *m.pud
 	if err := cfg.Validate(); err != nil {
 		return experiments.Options{}, err
 	}
@@ -90,24 +164,19 @@ func (m *modelFlags) options() (experiments.Options, error) {
 
 func main() {
 	if len(os.Args) > 1 {
-		args := os.Args[2:]
-		switch os.Args[1] {
-		case "field":
-			fieldMain(args)
-			return
-		case "serve":
-			serveMain(args)
-			return
-		case "work":
-			workMain(args)
-			return
-		case "sweep":
-			sweepMain(args)
-			return
+		for _, sub := range subcommands {
+			if sub.name == os.Args[1] {
+				sub.main(os.Args[2:])
+				return
+			}
 		}
 	}
+	names := make([]string, len(artifacts))
+	for i, a := range artifacts {
+		names[i] = a.name
+	}
 	var (
-		experiment = flag.String("experiment", "all", "which artifact to regenerate (table1..table5, fig4, fig5, erlang, policy, workload, ctmc, lifetime, all)")
+		experiment = flag.String("experiment", "all", "comma-separated artifacts to regenerate, or all: "+strings.Join(names, ", "))
 		format     = flag.String("format", "text", "output format: text, csv or md")
 		model      = addModelFlags(flag.CommandLine)
 		parallel   = flag.Int("parallel", 0, "concurrent (scenario, estimator) evaluations, the only parallelism (0 = all CPUs)")
@@ -119,7 +188,12 @@ func main() {
 	// is a mistyped subcommand or a stray argument, never something to
 	// ignore.
 	if flag.NArg() > 0 {
-		fatal(fmt.Errorf("unknown subcommand %q (want field, serve, work or sweep, or only flags to run experiments)", flag.Arg(0)))
+		verbs := make([]string, len(subcommands))
+		for i, sub := range subcommands {
+			verbs[i] = sub.name
+		}
+		fatal(fmt.Errorf("unknown subcommand %q (want one of %s, or only flags to run experiments)",
+			flag.Arg(0), strings.Join(verbs, ", ")))
 	}
 
 	// Ctrl-C aborts sweeps mid-replication via the Runner's context: the
@@ -134,11 +208,8 @@ func main() {
 	}
 	opt.Parallelism = *parallel
 
-	names := strings.Split(*experiment, ",")
-	if *experiment == "all" {
-		names = []string{"table1", "table2", "table3", "fig4", "fig5", "table4", "table5",
-			"erlang", "policy", "workload", "ctmc", "lifetime", "convergence", "transient", "network",
-			"fieldlife", "fieldbreakdown", "fielddeath"}
+	if *experiment != "all" {
+		names = strings.Split(*experiment, ",")
 	}
 	for i, name := range names {
 		if i > 0 {
@@ -150,107 +221,26 @@ func main() {
 	}
 }
 
+// run regenerates one artifact and writes it to stdout.
 func run(ctx context.Context, name string, opt experiments.Options, format string, chartW, chartH int) error {
-	switch name {
-	case "table1":
-		return emitTable(experiments.Table1(), format)
-	case "table2":
-		return emitTable(experiments.Table2(opt.Base), format)
-	case "table3":
-		return emitTable(experiments.Table3(opt.Base.Power), format)
-	case "fig4":
-		fig, err := experiments.Figure4Ctx(ctx, opt)
-		if err != nil {
-			return err
+	for _, a := range artifacts {
+		if a.name != name {
+			continue
 		}
-		return emitFigure(fig, format, chartW, chartH)
-	case "fig5":
-		fig, err := experiments.Figure5Ctx(ctx, opt)
-		if err != nil {
-			return err
+		if a.figure != nil {
+			fig, err := a.figure(ctx, opt)
+			if err != nil {
+				return err
+			}
+			return emitFigure(fig, format, chartW, chartH)
 		}
-		return emitFigure(fig, format, chartW, chartH)
-	case "table4":
-		t, err := experiments.Table4Ctx(ctx, opt)
+		t, err := a.table(ctx, opt)
 		if err != nil {
 			return err
 		}
 		return emitTable(t, format)
-	case "table5":
-		t, err := experiments.Table5Ctx(ctx, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(t, format)
-	case "erlang":
-		t, err := experiments.ErlangAblationCtx(ctx, opt, nil)
-		if err != nil {
-			return err
-		}
-		return emitTable(t, format)
-	case "policy":
-		t, err := experiments.PolicyAblation(opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(t, format)
-	case "workload":
-		t, err := experiments.WorkloadComparisonCtx(ctx, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(t, format)
-	case "ctmc":
-		t, err := experiments.CTMCCrossCheck(opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(t, format)
-	case "lifetime":
-		t, err := experiments.LifetimeCtx(ctx, opt, nil)
-		if err != nil {
-			return err
-		}
-		return emitTable(t, format)
-	case "convergence":
-		t, err := experiments.Convergence(opt, nil)
-		if err != nil {
-			return err
-		}
-		return emitTable(t, format)
-	case "transient":
-		fig, err := experiments.Transient(opt, 0, 0, 0)
-		if err != nil {
-			return err
-		}
-		return emitFigure(fig, format, chartW, chartH)
-	case "network":
-		t, err := experiments.NetworkLifetime(opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(t, format)
-	case "fieldlife":
-		t, err := experiments.FieldLifetimeCtx(ctx, opt, nil, nil)
-		if err != nil {
-			return err
-		}
-		return emitTable(t, format)
-	case "fieldbreakdown":
-		t, err := experiments.FieldBreakdownCtx(ctx, opt, 0)
-		if err != nil {
-			return err
-		}
-		return emitTable(t, format)
-	case "fielddeath":
-		t, err := experiments.FieldDeathCtx(ctx, opt, 0)
-		if err != nil {
-			return err
-		}
-		return emitTable(t, format)
-	default:
-		return fmt.Errorf("unknown experiment %q (try -experiment all)", name)
 	}
+	return fmt.Errorf("unknown experiment %q (try -experiment all)", name)
 }
 
 func emitTable(t *report.Table, format string) error {

@@ -1,47 +1,46 @@
-// Command petrisim is a generic stochastic Petri-net tool in the spirit of
-// TimeNet: it loads a net from JSON, and simulates it, solves it exactly as
-// a CTMC (when all timed transitions are exponential), analyzes its
-// invariants, or renders it to Graphviz DOT.
+// The petri subcommand is a generic stochastic Petri-net tool in the
+// spirit of TimeNet: it loads a net from JSON, and simulates it, solves it
+// exactly as a CTMC (when all timed transitions are exponential), analyzes
+// its invariants, or renders it to Graphviz DOT:
 //
-// Usage:
-//
-//	petrisim -net cpu.json -time 1000 -reps 10        # simulate
-//	petrisim -net cpu.json -solve                     # exact CTMC analysis
-//	petrisim -net cpu.json -invariants                # P/T-invariants
-//	petrisim -net cpu.json -dot > cpu.dot             # visualization
-//	petrisim -paper -dump > cpu.json                  # emit the Figure-3 net
+//	wsnenergy petri -net cpu.json -time 1000 -reps 10   # simulate
+//	wsnenergy petri -net cpu.json -solve                # exact CTMC analysis
+//	wsnenergy petri -net cpu.json -invariants           # P/T-invariants
+//	wsnenergy petri -net cpu.json -dot > cpu.dot        # visualization
+//	wsnenergy petri -paper -dump > cpu.json             # emit the Figure-3 net
 package main
 
 import (
-	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"repro"
 	"repro/internal/petri"
 	"repro/internal/report"
 )
 
-func main() {
+func petriMain(args []string) {
+	fs := newFlagSet("petri")
 	var (
-		netPath    = flag.String("net", "", "path to a net in JSON format")
-		paper      = flag.Bool("paper", false, "use the paper's Figure-3 CPU net instead of -net")
-		dump       = flag.Bool("dump", false, "print the net as JSON and exit")
-		dot        = flag.Bool("dot", false, "print the net as Graphviz DOT and exit")
-		invariants = flag.Bool("invariants", false, "print P- and T-invariants and exit")
-		solve      = flag.Bool("solve", false, "solve exactly as a CTMC (exponential nets only)")
-		transient  = flag.Bool("transient", false, "transient analysis: expected tokens on a time grid")
-		step       = flag.Float64("step", 0, "transient grid step (default time/20)")
-		simTime    = flag.Float64("time", 1000, "simulated duration (s)")
-		warmup     = flag.Float64("warmup", 0, "warmup before measurement (s)")
-		reps       = flag.Int("reps", 1, "independent replications")
-		seed       = flag.Uint64("seed", 1, "random seed")
-		lambda     = flag.Float64("lambda", 1, "arrival rate for -paper")
-		mu         = flag.Float64("mu", 10, "service rate for -paper")
-		pdt        = flag.Float64("pdt", 0.5, "power down threshold for -paper")
-		pud        = flag.Float64("pud", 0.001, "power up delay for -paper")
+		netPath    = fs.String("net", "", "path to a net in JSON format")
+		paper      = fs.Bool("paper", false, "use the paper's Figure-3 CPU net instead of -net")
+		dump       = fs.Bool("dump", false, "print the net as JSON and exit")
+		dot        = fs.Bool("dot", false, "print the net as Graphviz DOT and exit")
+		invariants = fs.Bool("invariants", false, "print P- and T-invariants and exit")
+		solve      = fs.Bool("solve", false, "solve exactly as a CTMC (exponential nets only)")
+		transient  = fs.Bool("transient", false, "transient analysis: expected tokens on a time grid")
+		step       = fs.Float64("step", 0, "transient grid step (default time/20)")
+		simTime    = fs.Float64("time", 1000, "simulated duration (s)")
+		warmup     = fs.Float64("warmup", 0, "warmup before measurement (s)")
+		reps       = fs.Int("reps", 1, "independent replications")
+		seed       = fs.Uint64("seed", 1, "random seed")
+		lambda     = fs.Float64("lambda", 1, "arrival rate for -paper")
+		mu         = fs.Float64("mu", 10, "service rate for -paper")
+		pdt        = fs.Float64("pdt", 0.5, "power down threshold for -paper")
+		pud        = fs.Float64("pud", 0.001, "power up delay for -paper")
 	)
-	flag.Parse()
+	parseFlags(fs, args)
 
 	var n *petri.Net
 	switch {
@@ -126,22 +125,7 @@ func printInvariants(n *petri.Net) {
 	}
 	m0 := n.InitialMarking()
 	for _, y := range pinvs {
-		first := true
-		fmt.Print("  ")
-		for p, w := range y {
-			if w == 0 {
-				continue
-			}
-			if !first {
-				fmt.Print(" + ")
-			}
-			first = false
-			if w != 1 {
-				fmt.Printf("%d*", w)
-			}
-			fmt.Print(n.Places[p].Name)
-		}
-		fmt.Printf(" = %d\n", petri.InvariantValue(m0, y))
+		fmt.Printf("  %s = %d\n", weightedSum(y, func(p int) string { return n.Places[p].Name }), petri.InvariantValue(m0, y))
 	}
 	tinvs, err := petri.TInvariants(n)
 	if err != nil {
@@ -152,23 +136,23 @@ func printInvariants(n *petri.Net) {
 		fmt.Println("  (none)")
 	}
 	for _, x := range tinvs {
-		first := true
-		fmt.Print("  ")
-		for ti, c := range x {
-			if c == 0 {
-				continue
-			}
-			if !first {
-				fmt.Print(" + ")
-			}
-			first = false
-			if c != 1 {
-				fmt.Printf("%d*", c)
-			}
-			fmt.Print(n.Transitions[ti].Name)
-		}
-		fmt.Println()
+		fmt.Printf("  %s\n", weightedSum(x, func(t int) string { return n.Transitions[t].Name }))
 	}
+}
+
+// weightedSum renders an invariant as "2*a + b", skipping zero weights.
+func weightedSum(weights []int, name func(int) string) string {
+	var terms []string
+	for i, w := range weights {
+		switch w {
+		case 0:
+		case 1:
+			terms = append(terms, name(i))
+		default:
+			terms = append(terms, fmt.Sprintf("%d*%s", w, name(i)))
+		}
+	}
+	return strings.Join(terms, " + ")
 }
 
 func solveCTMC(n *petri.Net) {
@@ -216,9 +200,4 @@ func simulate(n *petri.Net, opt petri.SimOptions, reps int) {
 	if rep.Deadlocks > 0 {
 		fmt.Printf("\nwarning: %d/%d replications deadlocked\n", rep.Deadlocks, reps)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "petrisim:", err)
-	os.Exit(1)
 }

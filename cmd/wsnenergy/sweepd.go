@@ -38,6 +38,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
+	"repro/internal/report"
 	"repro/internal/shard"
 	"repro/internal/sweepd"
 )
@@ -329,34 +330,29 @@ func renderExperiment(m *shard.Manifest, results []core.Result, format string, c
 	if err != nil {
 		return err
 	}
+	var (
+		t   *report.Table
+		fig *report.Figure
+	)
 	switch m.Experiment {
 	case "fig4":
-		fig, err := experiments.Figure4FromResults(opt, results)
-		if err != nil {
-			return err
-		}
-		return emitFigure(fig, format, chartW, chartH)
+		fig, err = experiments.Figure4FromResults(opt, results)
 	case "fig5":
-		fig, err := experiments.Figure5FromResults(opt, results)
-		if err != nil {
-			return err
-		}
-		return emitFigure(fig, format, chartW, chartH)
+		fig, err = experiments.Figure5FromResults(opt, results)
 	case "table4":
-		t, err := experiments.Table4FromResults(opt, results)
-		if err != nil {
-			return err
-		}
-		return emitTable(t, format)
+		t, err = experiments.Table4FromResults(opt, results)
 	case "table5":
-		t, err := experiments.Table5FromResults(opt, results)
-		if err != nil {
-			return err
-		}
-		return emitTable(t, format)
+		t, err = experiments.Table5FromResults(opt, results)
 	default:
 		return fmt.Errorf("manifest plans unknown experiment %q", m.Experiment)
 	}
+	if err != nil {
+		return err
+	}
+	if fig != nil {
+		return emitFigure(fig, format, chartW, chartH)
+	}
+	return emitTable(t, format)
 }
 
 // mergeOptions reconstructs the experiment options a renderer needs from

@@ -53,5 +53,5 @@ func main() {
 	fmt.Print(t.ASCII())
 
 	fmt.Println("\nThe Petri net behind the PetriNet method (Graphviz DOT):")
-	fmt.Println("run `go run ./cmd/petrisim -paper -dot` to render Figure 3.")
+	fmt.Println("run `go run ./cmd/wsnenergy petri -paper -dot` to render Figure 3.")
 }

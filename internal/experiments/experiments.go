@@ -258,13 +258,8 @@ func Table3(p energy.PowerModel) *report.Table {
 // ---------------------------------------------------------------------------
 // Figure 4: steady-state percentages vs Power Down Threshold
 
-// Figure4 regenerates the steady-state-percentage sweep at the first
-// configured PUD (the paper uses 0.001 s).
-func Figure4(opt Options) (*report.Figure, error) {
-	return Figure4Ctx(context.Background(), opt)
-}
-
-// Figure4Ctx is Figure4 with cancellation: a cancelled context aborts the
+// Figure4Ctx regenerates the steady-state-percentage sweep at the first
+// configured PUD (the paper uses 0.001 s). A cancelled context aborts the
 // sweep between points.
 func Figure4Ctx(ctx context.Context, opt Options) (*report.Figure, error) {
 	opt = opt.withDefaults()
@@ -311,12 +306,7 @@ func renderFigure4(opt Options, points []sweepPoint) *report.Figure {
 	return fig
 }
 
-// Figure5 regenerates the energy sweep at the first configured PUD.
-func Figure5(opt Options) (*report.Figure, error) {
-	return Figure5Ctx(context.Background(), opt)
-}
-
-// Figure5Ctx is Figure5 with cancellation.
+// Figure5Ctx regenerates the energy sweep at the first configured PUD.
 func Figure5Ctx(ctx context.Context, opt Options) (*report.Figure, error) {
 	opt = opt.withDefaults()
 	points, err := runSweepCtx(ctx, opt, opt.PUDs[0])
@@ -360,16 +350,12 @@ func renderFigure5(opt Options, points []sweepPoint) *report.Figure {
 // ---------------------------------------------------------------------------
 // Tables 4 and 5: pairwise deviations across the PUD set
 
-// Table4 regenerates the steady-state-percentage deviation table: for each
-// PUD, the mean over the PDT sweep of the summed absolute per-state
-// differences (percentage points) between each pair of methods.
-func Table4(opt Options) (*report.Table, error) {
-	return Table4Ctx(context.Background(), opt)
-}
-
-// Table4Ctx is Table4 with cancellation. The full PDT×PUD grid runs as one
-// batch, so every (point, estimator) pair fans out over the worker pool at
-// once (points shared with Figure 4/5 still come from the cache).
+// Table4Ctx regenerates the steady-state-percentage deviation table: for
+// each PUD, the mean over the PDT sweep of the summed absolute per-state
+// differences (percentage points) between each pair of methods. The full
+// PDT×PUD grid runs as one batch, so every (point, estimator) pair fans
+// out over the worker pool at once (points shared with Figure 4/5 still
+// come from the cache).
 func Table4Ctx(ctx context.Context, opt Options) (*report.Table, error) {
 	// Fail fast on a wrong estimator set before paying for the sweep.
 	if err := requireThree(opt.withDefaults()); err != nil {
@@ -431,14 +417,9 @@ func runGridCtx(ctx context.Context, opt Options, name string) ([]core.Result, e
 	return results, nil
 }
 
-// Table5 regenerates the energy deviation table: mean over the PDT sweep of
-// the absolute energy difference (Joules) between each pair of methods.
-func Table5(opt Options) (*report.Table, error) {
-	return Table5Ctx(context.Background(), opt)
-}
-
-// Table5Ctx is Table5 with cancellation; like Table4Ctx it evaluates the
-// whole grid as one batch.
+// Table5Ctx regenerates the energy deviation table: mean over the PDT
+// sweep of the absolute energy difference (Joules) between each pair of
+// methods. Like Table4Ctx it evaluates the whole grid as one batch.
 func Table5Ctx(ctx context.Context, opt Options) (*report.Table, error) {
 	// Fail fast on a wrong estimator set before paying for the sweep.
 	if err := requireThree(opt.withDefaults()); err != nil {

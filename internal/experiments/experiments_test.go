@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"math"
 	"strconv"
 	"strings"
@@ -65,7 +66,7 @@ func TestTable3(t *testing.T) {
 }
 
 func TestFigure4ShapeAndTrends(t *testing.T) {
-	fig, err := Figure4(quickOptions())
+	fig, err := Figure4Ctx(context.Background(), quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +105,7 @@ func TestFigure4ShapeAndTrends(t *testing.T) {
 }
 
 func TestFigure5EnergyRises(t *testing.T) {
-	fig, err := Figure5(quickOptions())
+	fig, err := Figure5Ctx(context.Background(), quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestFigure5EnergyRises(t *testing.T) {
 }
 
 func TestTable4ReproducesPaperOrdering(t *testing.T) {
-	tb, err := Table4(quickOptions())
+	tb, err := Table4Ctx(context.Background(), quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestTable4ReproducesPaperOrdering(t *testing.T) {
 }
 
 func TestTable5EnergyOrdering(t *testing.T) {
-	tb, err := Table5(quickOptions())
+	tb, err := Table5Ctx(context.Background(), quickOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,10 +166,10 @@ func TestTable5EnergyOrdering(t *testing.T) {
 func TestTablesRequireThreeEstimators(t *testing.T) {
 	opt := quickOptions()
 	opt.Estimators = []core.Estimator{core.Markov{}}
-	if _, err := Table4(opt); err == nil {
+	if _, err := Table4Ctx(context.Background(), opt); err == nil {
 		t.Fatal("Table4 accepted 1 estimator")
 	}
-	if _, err := Table5(opt); err == nil {
+	if _, err := Table5Ctx(context.Background(), opt); err == nil {
 		t.Fatal("Table5 accepted 1 estimator")
 	}
 }
@@ -177,7 +178,7 @@ func TestErlangAblationConverges(t *testing.T) {
 	opt := quickOptions()
 	opt.Base.SimTime = 2000
 	opt.Base.Replications = 6
-	tb, err := ErlangAblation(opt, []int{1, 8, 32})
+	tb, err := ErlangAblationCtx(context.Background(), opt, []int{1, 8, 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +222,7 @@ func TestPolicyAblationTradeoff(t *testing.T) {
 func TestWorkloadComparison(t *testing.T) {
 	opt := quickOptions()
 	opt.Base.SimTime = 1500
-	tb, err := WorkloadComparison(opt)
+	tb, err := WorkloadComparisonCtx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +263,7 @@ func TestCTMCCrossCheckAgreement(t *testing.T) {
 
 func TestLifetimeDecreasesWithLoad(t *testing.T) {
 	opt := quickOptions()
-	tb, err := Lifetime(opt, []float64{0.2, 2})
+	tb, err := LifetimeCtx(context.Background(), opt, []float64{0.2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +395,7 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	opt := quickOptions()
 	opt.Base.Replications = 2
 	opt.Parallelism = 1
-	seq, err := Figure5(opt)
+	seq, err := Figure5Ctx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -403,7 +404,7 @@ func TestSweepDeterministicAcrossParallelism(t *testing.T) {
 	// answering from the cache.
 	core.ResetEstimateCache()
 	opt.Parallelism = 4
-	par, err := Figure5(opt)
+	par, err := Figure5Ctx(context.Background(), opt)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,20 +15,16 @@ import (
 	"repro/internal/workload"
 )
 
-// ErlangAblation (X-1) quantifies how many Erlang phases a Markov chain
+// ErlangAblationCtx (X-1) quantifies how many Erlang phases a Markov chain
 // needs before constant delays stop hurting it: at the largest configured
 // PUD it compares the plain supplementary-variable model and ErlangMarkov
-// with growing K against a high-precision simulation.
-func ErlangAblation(opt Options, ks []int) (*report.Table, error) {
-	return ErlangAblationCtx(context.Background(), opt, ks)
-}
-
-// ErlangAblationCtx is ErlangAblation through Runner.RunBatch: all methods
-// evaluate concurrently on the worker pool against one fixed-seed scenario
-// (seed derivation off, so every method sees the configuration's own seed —
-// the historical cross-method comparability contract), repeated points are
-// answered from the process-wide result cache, and a cancelled context
-// aborts the simulations mid-replication.
+// with growing K against a high-precision simulation. It runs through
+// Runner.RunBatch: all methods evaluate concurrently on the worker pool
+// against one fixed-seed scenario (seed derivation off, so every method
+// sees the configuration's own seed — the historical cross-method
+// comparability contract), repeated points are answered from the
+// process-wide result cache, and a cancelled context aborts the
+// simulations mid-replication.
 func ErlangAblationCtx(ctx context.Context, opt Options, ks []int) (*report.Table, error) {
 	opt = opt.withDefaults()
 	if len(ks) == 0 {
@@ -121,17 +117,12 @@ func PolicyAblation(opt Options) (*report.Table, error) {
 	return t, nil
 }
 
-// WorkloadComparison (X-3) contrasts the open Poisson workload with
+// WorkloadComparisonCtx (X-3) contrasts the open Poisson workload with
 // periodic, bursty (MMPP) and closed generators at matched average rates,
-// showing how burstiness shifts the energy budget.
-func WorkloadComparison(opt Options) (*report.Table, error) {
-	return WorkloadComparisonCtx(context.Background(), opt)
-}
-
-// WorkloadComparisonCtx is WorkloadComparison through Runner.RunBatch: the
-// workload rows are workloadEstimator instances evaluating concurrently on
-// the worker pool against one fixed-seed scenario, cached process-wide,
-// and cancellable mid-replication.
+// showing how burstiness shifts the energy budget. It runs through
+// Runner.RunBatch: the workload rows are workloadEstimator instances
+// evaluating concurrently on the worker pool against one fixed-seed
+// scenario, cached process-wide, and cancellable mid-replication.
 func WorkloadComparisonCtx(ctx context.Context, opt Options) (*report.Table, error) {
 	opt = opt.withDefaults()
 	base := opt.Base
@@ -251,17 +242,13 @@ func NetworkLifetime(opt Options) (*report.Table, error) {
 	return t, nil
 }
 
-// Lifetime (X-5) estimates whole-node battery lifetime across sensing
-// loads using the composite CPU+radio net.
-func Lifetime(opt Options, lambdas []float64) (*report.Table, error) {
-	return LifetimeCtx(context.Background(), opt, lambdas)
-}
-
-// LifetimeCtx is Lifetime through Runner.RunBatch: one scenario per sensing
-// load, evaluated concurrently on the worker pool by the composite-net
-// lifetime estimator (fixed seeds, so the rows reproduce the sequential
-// table bit for bit), cached process-wide, and cancellable mid-replication
-// — the long sweeps that online battery-lifetime estimation needs.
+// LifetimeCtx (X-5) estimates whole-node battery lifetime across sensing
+// loads using the composite CPU+radio net. It runs through
+// Runner.RunBatch: one scenario per sensing load, evaluated concurrently
+// on the worker pool by the composite-net lifetime estimator (fixed seeds,
+// so the rows reproduce the sequential table bit for bit), cached
+// process-wide, and cancellable mid-replication — the long sweeps that
+// online battery-lifetime estimation needs.
 func LifetimeCtx(ctx context.Context, opt Options, lambdas []float64) (*report.Table, error) {
 	opt = opt.withDefaults()
 	if len(lambdas) == 0 {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"testing"
@@ -15,9 +16,9 @@ import (
 //	opt := Default()
 //	opt.Base.SimTime = 400; opt.Base.Warmup = 50; opt.Base.Replications = 3
 //	opt.PUDs = []float64{0.001, 10}
-//	ErlangAblation(opt, []int{1, 8})
-//	WorkloadComparison(opt)
-//	Lifetime(opt, []float64{0.5, 2})
+//	ErlangAblationCtx(ctx, opt, []int{1, 8})
+//	WorkloadComparisonCtx(ctx, opt)
+//	LifetimeCtx(ctx, opt, []float64{0.5, 2})
 //
 // Byte-for-byte equality here is the acceptance criterion for the RunBatch
 // port: evaluation now flows through the Runner's worker pool and result
@@ -53,7 +54,7 @@ func TestErlangAblationMatchesPreRunBatchGolden(t *testing.T) {
 		core.ResetEstimateCache()
 		opt := goldenOptions()
 		opt.Parallelism = parallelism
-		tb, err := ErlangAblation(opt, []int{1, 8})
+		tb, err := ErlangAblationCtx(context.Background(), opt, []int{1, 8})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +67,7 @@ func TestWorkloadComparisonMatchesPreRunBatchGolden(t *testing.T) {
 		core.ResetEstimateCache()
 		opt := goldenOptions()
 		opt.Parallelism = parallelism
-		tb, err := WorkloadComparison(opt)
+		tb, err := WorkloadComparisonCtx(context.Background(), opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -79,7 +80,7 @@ func TestLifetimeMatchesPreRunBatchGolden(t *testing.T) {
 		core.ResetEstimateCache()
 		opt := goldenOptions()
 		opt.Parallelism = parallelism
-		tb, err := Lifetime(opt, []float64{0.5, 2})
+		tb, err := LifetimeCtx(context.Background(), opt, []float64{0.5, 2})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,14 +95,14 @@ func TestExtensionExperimentsHitTheCache(t *testing.T) {
 	core.ResetEstimateCache()
 	t.Cleanup(core.ResetEstimateCache)
 	opt := goldenOptions()
-	if _, err := WorkloadComparison(opt); err != nil {
+	if _, err := WorkloadComparisonCtx(context.Background(), opt); err != nil {
 		t.Fatal(err)
 	}
 	entries, hits := core.EstimateCacheStats()
 	if entries == 0 {
 		t.Fatal("workload comparison did not populate the result cache")
 	}
-	if _, err := WorkloadComparison(opt); err != nil {
+	if _, err := WorkloadComparisonCtx(context.Background(), opt); err != nil {
 		t.Fatal(err)
 	}
 	entries2, hits2 := core.EstimateCacheStats()

@@ -27,11 +27,6 @@ var (
 	FieldRates = []float64{0.25, 0.5, 1.0}
 )
 
-// FieldLifetime is FieldLifetimeCtx without cancellation.
-func FieldLifetime(opt Options, sizes []int, rates []float64) (*report.Table, error) {
-	return FieldLifetimeCtx(context.Background(), opt, sizes, rates)
-}
-
 // FieldLifetimeCtx simulates 4-ary-tree fields of the given sizes at the
 // given per-node sample rates and tabulates time-to-first-node-death: one
 // row per (size, rate) with the bottleneck node's draw, the sink's
@@ -83,11 +78,6 @@ func FieldLifetimeCtx(ctx context.Context, opt Options, sizes []int, rates []flo
 		}
 	}
 	return t, nil
-}
-
-// FieldDeath is FieldDeathCtx without cancellation.
-func FieldDeath(opt Options, n int) (*report.Table, error) {
-	return FieldDeathCtx(context.Background(), opt, n)
 }
 
 // FieldDeathCtx simulates one n-node tree field on batteries starved to a
@@ -156,11 +146,6 @@ func FieldDeathCtx(ctx context.Context, opt Options, n int) (*report.Table, erro
 func starvedBattery(floorMW, totalSeconds float64) energy.Battery {
 	j := floorMW / 1000 * totalSeconds * 0.4
 	return energy.Battery{CapacitymAh: j / 3600 / 3 * 1000, Volts: 3}
-}
-
-// FieldBreakdown is FieldBreakdownCtx without cancellation.
-func FieldBreakdown(opt Options, n int) (*report.Table, error) {
-	return FieldBreakdownCtx(context.Background(), opt, n)
 }
 
 // FieldBreakdownCtx simulates one n-node tree field and reports the energy

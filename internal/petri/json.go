@@ -7,7 +7,7 @@ import (
 	"repro/internal/dist"
 )
 
-// netJSON is the on-disk representation consumed by cmd/petrisim. Guards
+// netJSON is the on-disk representation `wsnenergy petri` reads. Guards
 // are not serializable; nets loaded from JSON have none.
 type netJSON struct {
 	Name        string           `json:"name"`

@@ -25,20 +25,6 @@ import (
 // reducedFlags sizes the sweeps for CI without changing their structure.
 var reducedFlags = []string{"-simtime", "100", "-reps", "2"}
 
-// buildWsnenergy compiles the real binary. `go run` would put a wrapper
-// process between us and the worker, so SIGKILL on the child would orphan
-// the actual victim instead of killing it.
-func buildWsnenergy(t *testing.T) string {
-	t.Helper()
-	bin := filepath.Join(t.TempDir(), "wsnenergy")
-	cmd := exec.Command("go", "build", "-o", bin, "./cmd/wsnenergy")
-	cmd.Dir = "."
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("building wsnenergy: %v\n%s", err, out)
-	}
-	return bin
-}
-
 // startCoordinator launches `wsnenergy serve` on an ephemeral port and
 // returns the announced base URL.
 func startCoordinator(t *testing.T, bin string, extraArgs ...string) (*exec.Cmd, string) {
@@ -123,7 +109,7 @@ func holdsLease(st sweepd.CoordinatorStatus, worker string) bool {
 //  5. a Figure 5 sweep then runs twice on the surviving fleet; the repeat
 //     must be served from the coordinator-hosted remote result cache.
 func TestSweepServiceFaultInjection(t *testing.T) {
-	bin := buildWsnenergy(t)
+	bin := wsnenergyBinary(t)
 	singleTable4 := runBinary(t, bin, append([]string{"-experiment", "table4", "-format", "csv"}, reducedFlags...)...)
 	singleFig5 := runBinary(t, bin, append([]string{"-experiment", "fig5", "-format", "csv"}, reducedFlags...)...)
 
@@ -246,7 +232,7 @@ func TestSweepServiceFaultInjection(t *testing.T) {
 //     proving no completed scenario was ever looked up again, let alone
 //     re-executed.
 func TestSweepServiceCoordinatorCrashRecovery(t *testing.T) {
-	bin := buildWsnenergy(t)
+	bin := wsnenergyBinary(t)
 	golden := runBinary(t, bin, append([]string{"-experiment", "table4", "-format", "csv"}, reducedFlags...)...)
 
 	stateDir := filepath.Join(t.TempDir(), "state")
@@ -368,7 +354,7 @@ func TestSweepServiceCoordinatorCrashRecovery(t *testing.T) {
 //     complete, lease nothing, and render byte-identically to the
 //     single-process run.
 func TestSweepServiceWarmResubmitWithoutWorkers(t *testing.T) {
-	bin := buildWsnenergy(t)
+	bin := wsnenergyBinary(t)
 	golden := runBinary(t, bin, append([]string{"-experiment", "table4", "-format", "csv"}, reducedFlags...)...)
 
 	stateDir := filepath.Join(t.TempDir(), "state")
