@@ -155,25 +155,6 @@ func sweepEstimates(opt Options, puds []float64, results []core.Result) ([][][]*
 	return perPUD, nil
 }
 
-// runSweepCtx evaluates all estimators across the PDT sweep at a fixed
-// PUD, fanning the sweep points out over the Runner's worker pool. Results
-// are deterministic for a given Options.Base.Seed at any parallelism.
-func runSweepCtx(ctx context.Context, opt Options, pud float64) ([]sweepPoint, error) {
-	r, err := newSweepRunner(opt)
-	if err != nil {
-		return nil, err
-	}
-	results, err := r.RunAll(ctx, SweepScenarios(opt, pud))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: sweep PUD=%v: %w", pud, err)
-	}
-	perPUD, err := sweepEstimates(opt, []float64{pud}, results)
-	if err != nil {
-		return nil, err
-	}
-	return pointsFromEstimates(opt, perPUD[0]), nil
-}
-
 // sumAbsFractionDiff returns the summed absolute difference of the four
 // state fractions between two estimates, in percentage points.
 func sumAbsFractionDiff(a, b *core.Estimate) float64 {
@@ -262,12 +243,11 @@ func Table3(p energy.PowerModel) *report.Table {
 // configured PUD (the paper uses 0.001 s). A cancelled context aborts the
 // sweep between points.
 func Figure4Ctx(ctx context.Context, opt Options) (*report.Figure, error) {
-	opt = opt.withDefaults()
-	points, err := runSweepCtx(ctx, opt, opt.PUDs[0])
+	results, err := runGridCtx(ctx, opt, "fig4")
 	if err != nil {
 		return nil, err
 	}
-	return renderFigure4(opt, points), nil
+	return Figure4FromResults(opt, results)
 }
 
 // Figure4FromResults renders Figure 4 from precomputed results covering
@@ -308,12 +288,11 @@ func renderFigure4(opt Options, points []sweepPoint) *report.Figure {
 
 // Figure5Ctx regenerates the energy sweep at the first configured PUD.
 func Figure5Ctx(ctx context.Context, opt Options) (*report.Figure, error) {
-	opt = opt.withDefaults()
-	points, err := runSweepCtx(ctx, opt, opt.PUDs[0])
+	results, err := runGridCtx(ctx, opt, "fig5")
 	if err != nil {
 		return nil, err
 	}
-	return renderFigure5(opt, points), nil
+	return Figure5FromResults(opt, results)
 }
 
 // Figure5FromResults renders Figure 5 from precomputed results covering

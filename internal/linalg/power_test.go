@@ -12,7 +12,8 @@ import (
 )
 
 // referenceVecMul is the allocating x^T * m kernel the power iteration used
-// before VecMulTo: a fresh zero vector, rows in order, columns in CSR order.
+// before the gather kernel: a fresh zero vector, rows scattered in order,
+// columns in CSR order.
 func referenceVecMul(m *CSR, x []float64) []float64 {
 	y := make([]float64, m.ColsN)
 	for i := 0; i < m.RowsN; i++ {
@@ -147,6 +148,37 @@ func erlangGenerator(lambda, mu, T, D float64, K int) *CSR {
 	return NewCSR(n, n, entries)
 }
 
+// hubChain is an n-state chain whose every state also jumps to states 0
+// and n/2, so those two columns hold about n entries each and most of them
+// sit in the gather kernel's overflow range; the other columns hold a
+// diagonal and one ring in-edge.
+func hubChain(n int) *CSR {
+	entries := make([]Coord, 0, 4*n)
+	for i := 0; i < n; i++ {
+		ring, hub := 1+float64(i%3), 0.1+float64(i%7)/10
+		entries = append(entries,
+			Coord{Row: i, Col: (i + 1) % n, Val: ring},
+			Coord{Row: i, Col: 0, Val: hub},
+			Coord{Row: i, Col: n / 2, Val: hub / 2},
+			Coord{Row: i, Col: i, Val: -ring - 1.5*hub})
+	}
+	return NewCSR(n, n, entries)
+}
+
+// duplicateRing is unevenRing built from split rates: every transition and
+// diagonal arrives as two Coords that NewCSR sums, and each column ends up
+// with two entries, fewer than a gather slot holds.
+func duplicateRing(n int) *CSR {
+	entries := make([]Coord, 0, 4*n)
+	for i := 0; i < n; i++ {
+		rate := 1 + float64(i%3)
+		entries = append(entries,
+			Coord{Row: i, Col: (i + 1) % n, Val: rate / 3}, Coord{Row: i, Col: i, Val: -rate / 3},
+			Coord{Row: i, Col: (i + 1) % n, Val: rate * 2 / 3}, Coord{Row: i, Col: i, Val: -rate * 2 / 3})
+	}
+	return NewCSR(n, n, entries)
+}
+
 // unevenRing is an n-state unidirectional ring whose rates cycle 1, 2, 3,
 // so its stationary vector is not uniform and the power loop has work to do.
 func unevenRing(n int) *CSR {
@@ -174,7 +206,9 @@ func assertBitIdentical(t *testing.T, got, want []float64) {
 // iteration against the allocating reference: on the X-1 Erlang chains at
 // K = 32 and 64 for each of the CLI's power-up delays (the path behind the
 // committed artifact digests), on chains that meet Tol before the cap, so
-// the early exit is compared too, and on rings.
+// the early exit is compared too, on rings, on a hub column long enough to
+// run the gather's overflow range, and on a chain built from duplicate
+// Coords whose columns are shorter than a gather slot.
 func TestStationaryMatchesReferenceLoop(t *testing.T) {
 	ctx := context.Background()
 	type chain struct {
@@ -198,6 +232,8 @@ func TestStationaryMatchesReferenceLoop(t *testing.T) {
 		chain{name: "ring", q: ringGenerator(50), early: true},
 		chain{name: "uneven-ring", q: unevenRing(2001), early: true},
 		chain{name: "uneven-ring/loose-tol", q: unevenRing(30), opt: PowerOptions{Tol: 1e-6}, early: true},
+		chain{name: "hub", q: hubChain(60), early: true},
+		chain{name: "duplicate-coords", q: duplicateRing(40), early: true},
 	)
 	for _, c := range chains {
 		t.Run(c.name, func(t *testing.T) {
@@ -216,21 +252,39 @@ func TestStationaryMatchesReferenceLoop(t *testing.T) {
 	}
 }
 
-// TestVecMulToMatchesReference pins the in-place kernel bit for bit against
-// the allocating one, including a dirty destination it must zero.
+// TestVecMulToMatchesReference pins the gather kernel bit for bit against
+// the allocating scatter: as a plain product (VecMul), as one uniformized
+// step into a dirty destination it must overwrite, and with the
+// destination aliasing the base.
 func TestVecMulToMatchesReference(t *testing.T) {
 	q := erlangGenerator(1, 10, 0.5, 0.3, 8)
 	x := make([]float64, q.RowsN)
 	for i := range x {
-		x[i] = float64(i%7) / 3 // includes zeros, which the kernel skips
+		x[i] = float64(i%7) / 3 // includes zeros, which the scatter skips
 	}
+	ref := referenceVecMul(q, x)
+	assertBitIdentical(t, q.VecMul(x), ref)
+
+	const div = 1.7
+	want := make([]float64, q.ColsN)
+	wantSum := 0.0
+	for j := range want {
+		want[j] = x[j] + ref[j]/div
+		wantSum += want[j]
+	}
+	cols := q.Columns()
 	dst := make([]float64, q.ColsN)
 	for i := range dst {
 		dst[i] = math.NaN()
 	}
-	q.VecMulTo(dst, x)
-	assertBitIdentical(t, dst, referenceVecMul(q, x))
-	assertBitIdentical(t, q.VecMul(x), referenceVecMul(q, x))
+	if sum := cols.MulAddTo(dst, x, x, div); math.Float64bits(sum) != math.Float64bits(wantSum) {
+		t.Fatalf("sum = %v, want %v", sum, wantSum)
+	}
+	assertBitIdentical(t, dst, want)
+
+	base := append([]float64(nil), x...)
+	cols.MulAddTo(base, base, x, div)
+	assertBitIdentical(t, base, want)
 }
 
 func TestVecMulToRejectsShortDst(t *testing.T) {
@@ -240,7 +294,8 @@ func TestVecMulToRejectsShortDst(t *testing.T) {
 		}
 	}()
 	q := ringGenerator(4)
-	q.VecMulTo(make([]float64, 3), make([]float64, 4))
+	x := make([]float64, 4)
+	q.Columns().MulAddTo(make([]float64, 3), x, x, 1)
 }
 
 // TestStationaryAllocsIndependentOfIterations pins that the power loop
@@ -283,4 +338,81 @@ func TestFactorizeLeavesArgumentUnmodified(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzColumnKernel pins the gather kernel to the scatter it replaced on
+// arbitrary small matrices. The input bytes pick the shape, a CSR built
+// directly from (row, col, value) triples — so a row may repeat a column
+// and list columns in any order — x, the base vector and the divisor.
+// Values are small multiples of 1/7 and 1/3, so negative diagonals, exact
+// zeros in x and sums that round differently under another order all
+// occur. Both VecMul and MulAddTo must match referenceVecMul bit for bit.
+func FuzzColumnKernel(f *testing.F) {
+	f.Add([]byte{2, 2, 0, 0, 250, 0, 1, 6, 1, 0, 3, 1, 1, 253, 0, 7, 3})
+	f.Add([]byte{0, 0, 0, 0, 0})
+	// Hubs: every row of an 8x8 matrix feeds columns 0 and 5, past a
+	// slot's width.
+	f.Add([]byte{7, 7, 0, 0, 9, 1, 0, 5, 2, 0, 11, 3, 0, 2, 4, 0, 200, 5, 0, 7, 6, 0, 13, 7, 0, 1, 3, 3, 230, 3, 3, 10,
+		0, 5, 4, 1, 5, 17, 2, 5, 244, 3, 5, 8, 4, 5, 1, 5, 5, 100, 6, 5, 3, 7, 5, 9, 1, 2, 0, 5, 9, 0, 4, 2})
+	// Duplicate (row, col) pairs and columns in descending order.
+	f.Add([]byte{3, 3, 1, 2, 5, 1, 2, 250, 1, 0, 7, 1, 2, 9, 0, 0, 255, 0, 0, 1, 2, 1, 3, 0, 0, 6, 3, 0, 1, 2})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 2 {
+			return
+		}
+		rows, cols := 1+int(data[0]%12), 1+int(data[1]%12)
+		data = data[2:]
+		ntrip := len(data) / 3
+		if ntrip > 64 {
+			ntrip = 64
+		}
+		trips := data[:3*ntrip]
+		rest := data[3*ntrip:]
+		// tail returns byte i of the input past the triples, and a fixed
+		// filler once the input runs out.
+		tail := func(i int) byte {
+			if i < len(rest) {
+				return rest[i]
+			}
+			return byte(i * 37)
+		}
+		m := &CSR{RowsN: rows, ColsN: cols, RowPtr: make([]int, rows+1)}
+		for r := 0; r < rows; r++ {
+			for k := 0; k < ntrip; k++ {
+				if int(trips[3*k])%rows == r {
+					m.ColIdx = append(m.ColIdx, int(trips[3*k+1])%cols)
+					m.Val = append(m.Val, float64(int8(trips[3*k+2]))/7)
+				}
+			}
+			m.RowPtr[r+1] = len(m.Val)
+		}
+		x := make([]float64, rows)
+		for i := range x {
+			if b := tail(i); b%4 != 0 { // a quarter of x is exactly zero
+				x[i] = float64(int8(b)) / 3
+			}
+		}
+		base := make([]float64, cols)
+		for j := range base {
+			base[j] = float64(int8(tail(rows+j))) / 5
+		}
+		div := 1 + float64(tail(rows+cols))/9
+
+		ref := referenceVecMul(m, x)
+		assertBitIdentical(t, m.VecMul(x), ref)
+		want := make([]float64, cols)
+		wantSum := 0.0
+		for j := range want {
+			want[j] = base[j] + ref[j]/div
+			wantSum += want[j]
+		}
+		dst := make([]float64, cols)
+		for j := range dst {
+			dst[j] = math.NaN()
+		}
+		if sum := m.Columns().MulAddTo(dst, base, x, div); math.Float64bits(sum) != math.Float64bits(wantSum) {
+			t.Fatalf("sum = %v, want %v", sum, wantSum)
+		}
+		assertBitIdentical(t, dst, want)
+	})
 }

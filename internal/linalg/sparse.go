@@ -87,33 +87,110 @@ func (m *CSR) MulVec(x []float64) []float64 {
 // VecMul returns x^T * m.
 func (m *CSR) VecMul(x []float64) []float64 {
 	y := make([]float64, m.ColsN)
-	m.VecMulTo(y, x)
+	m.Columns().MulAddTo(y, y, x, 1)
 	return y
 }
 
-// VecMulTo writes x^T * m into dst, which it zeroes first, and allocates
-// nothing: the in-place kernel of the iterative solvers. dst must not alias
-// x.
-func (m *CSR) VecMulTo(dst, x []float64) {
-	if len(x) != m.RowsN || len(dst) != m.ColsN {
-		panic(fmt.Sprintf("linalg: CSR VecMul dimension mismatch: %dx%d matrix, %d vec, %d dst", m.RowsN, m.ColsN, len(x), len(dst)))
-	}
-	clear(dst)
-	for i, xi := range x {
-		m.scatterRow(dst, i, xi)
-	}
+// colWidth is how many entries of a column Columns keeps in the column's
+// fixed-width slot. Most columns of the Erlang CPU generators hold a
+// diagonal and two in-edges, so most fit; the rest spill into the overflow
+// range.
+const colWidth = 3
+
+// colSlot is one column's first colWidth entries in ascending row order,
+// padded with (row 0, value 0), and how many more entries the column keeps
+// in the overflow range.
+type colSlot struct {
+	row [colWidth]int32
+	nov int32
+	val [colWidth]float64
 }
 
-// scatterRow adds xi times row i to dst, in the row's column order.
-func (m *CSR) scatterRow(dst []float64, i int, xi float64) {
-	if xi == 0 {
-		return
+// Columns is a CSR matrix m in the column-major layout of the gather
+// kernel behind x^T * m: column j's first colWidth entries in slots[j],
+// the next slots[j].nov in the overflow range ovRow/ovVal, which holds the
+// columns' spills back to back in column order, all in ascending row order
+// (a row that repeats a column keeps its CSR order). Build it once per
+// matrix with (*CSR).Columns and reuse it across products.
+//
+// Each entry of the product adds the same terms in the same order as
+// scattering the rows of m into a zeroed vector, so the two agree bit for
+// bit while m and x are finite: the pad terms and the terms of zero
+// entries of x, which a scatter skips, are ±0, and adding ±0 to an
+// accumulator that starts at +0 leaves it unchanged (it can never become
+// −0).
+type Columns struct {
+	rowsN int
+	slots []colSlot
+	ovRow []int32
+	ovVal []float64
+}
+
+// Columns builds m's gather layout.
+func (m *CSR) Columns() *Columns {
+	if m.RowsN > math.MaxInt32 || m.NNZ() > math.MaxInt32 {
+		panic(fmt.Sprintf("linalg: %dx%d matrix with %d entries too large for Columns", m.RowsN, m.ColsN, m.NNZ()))
 	}
-	lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-	vals := m.Val[lo:hi]
-	for k, c := range m.ColIdx[lo:hi] {
-		dst[c] += xi * vals[k]
+	c := &Columns{rowsN: m.RowsN, slots: make([]colSlot, m.ColsN)}
+	ovPtr := make([]int32, m.ColsN+1) // column j spills to ovPtr[j]:ovPtr[j+1]
+	fill := make([]int32, m.ColsN)
+	for _, j := range m.ColIdx {
+		if fill[j]++; fill[j] > colWidth {
+			ovPtr[j+1]++
+			c.slots[j].nov++
+		}
 	}
+	for j := 0; j < m.ColsN; j++ {
+		ovPtr[j+1] += ovPtr[j]
+	}
+	c.ovRow = make([]int32, ovPtr[m.ColsN])
+	c.ovVal = make([]float64, ovPtr[m.ColsN])
+	clear(fill)
+	for i := 0; i < m.RowsN; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			j, v := m.ColIdx[k], m.Val[k]
+			if p := fill[j]; p < colWidth {
+				c.slots[j].row[p], c.slots[j].val[p] = int32(i), v
+			} else {
+				o := ovPtr[j] + p - colWidth
+				c.ovRow[o], c.ovVal[o] = int32(i), v
+			}
+			fill[j]++
+		}
+	}
+	return c
+}
+
+// MulAddTo writes dst = base + (x^T * m)/div and returns the sum of dst's
+// entries, added in index order. With base = x it is one step x P of the
+// uniformized chain P = I + m/div, which is how the iterative solvers call
+// it; VecMul calls it with a zero base and div = 1, which leave the product
+// exact. dst may alias base but not x. It allocates nothing.
+func (c *Columns) MulAddTo(dst, base, x []float64, div float64) float64 {
+	if len(x) != c.rowsN || len(dst) != len(c.slots) || len(base) != len(dst) {
+		panic(fmt.Sprintf("linalg: MulAddTo dimension mismatch: %dx%d matrix, %d vec, %d base, %d dst",
+			c.rowsN, len(c.slots), len(x), len(base), len(dst)))
+	}
+	// Locals, not fields: the stores to dst would otherwise reload c's
+	// slice headers every column.
+	slots, ovRow, ovVal := c.slots, c.ovRow, c.ovVal
+	base = base[:len(dst)] // drops base's bounds check in the loop
+	sum := 0.0
+	o := 0 // the current column's first overflow entry
+	for j := range dst {
+		sl := &slots[j]
+		s := 0.0 // one term per slot entry, colWidth of them
+		s += x[sl.row[0]] * sl.val[0]
+		s += x[sl.row[1]] * sl.val[1]
+		s += x[sl.row[2]] * sl.val[2]
+		for end := o + int(sl.nov); o < end; o++ {
+			s += x[ovRow[o]] * ovVal[o]
+		}
+		v := base[j] + s/div
+		dst[j] = v
+		sum += v
+	}
+	return sum
 }
 
 // ToDense expands the matrix; intended for tests and small systems.
@@ -153,9 +230,11 @@ func StationaryCTMC(q *CSR, opt PowerOptions) ([]float64, error) {
 // StationaryCTMCContext is StationaryCTMC with cooperative cancellation:
 // the power loop polls the context every few iterations and aborts mid-solve
 // with ctx.Err() when it is cancelled, so a large chain does not hold its
-// caller hostage until convergence. The loop rotates three vectors
-// allocated up front, so its allocations do not grow with the iteration
-// count.
+// caller hostage until convergence. Each iteration gathers pi Q column by
+// column from a column-major copy of Q built once per solve (Columns), and
+// the loop swaps two vectors allocated up front, so its allocations do not
+// grow with the iteration count. The iterates are bit-identical to the
+// textbook loop that scatters the rows of Q into a fresh vector.
 func StationaryCTMCContext(ctx context.Context, q *CSR, opt PowerOptions) ([]float64, error) {
 	if q.RowsN != q.ColsN {
 		return nil, fmt.Errorf("linalg: generator must be square, got %dx%d", q.RowsN, q.ColsN)
@@ -187,37 +266,28 @@ func StationaryCTMCContext(ctx context.Context, q *CSR, opt PowerOptions) ([]flo
 		return pi, nil
 	}
 	lambda := maxExit * 1.02
-	// P = I + Q/lambda; power-iterate pi <- pi P = pi + (pi Q)/lambda. prod
-	// holds pi Q for the current pi. Every operation keeps the operands and
-	// order of the textbook loop (product, step, sum, normalize), so the
-	// iterates are the same to the bit.
+	// P = I + Q/lambda; power-iterate pi <- pi P = pi + (pi Q)/lambda,
+	// gathering each entry of pi Q from Q's columns. Every operation keeps
+	// the operands and order of the textbook loop (product, step, sum,
+	// normalize), so the iterates are the same to the bit.
+	cols := q.Columns()
 	next := make([]float64, n)
-	prod := make([]float64, n)
-	q.VecMulTo(prod, pi)
 	for iter := 0; iter < opt.MaxIter; iter++ {
 		if iter%solveCancelStride == 0 {
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
 		}
-		sum := 0.0
-		for i, v := range prod {
-			v = pi[i] + v/lambda
-			next[i] = v
-			sum += v
-		}
+		sum := cols.MulAddTo(next, pi, pi, lambda)
 		if sum <= 0 || math.IsNaN(sum) {
 			return nil, fmt.Errorf("linalg: power iteration diverged at iteration %d", iter)
 		}
-		// Normalize to fight drift, scattering each finished entry into the
-		// next iteration's product while it is at hand.
-		clear(prod)
+		// Normalize to fight drift.
 		diff := 0.0
 		for i, v := range next {
 			v /= sum
 			next[i] = v
 			diff += math.Abs(v - pi[i])
-			q.scatterRow(prod, i, v)
 		}
 		pi, next = next, pi
 		if diff < opt.Tol {

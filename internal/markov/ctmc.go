@@ -73,16 +73,21 @@ func (c *CTMC) Generator() *linalg.CSR {
 	if n == 0 {
 		panic("markov: empty chain")
 	}
+	return generator(n, append(make([]linalg.Coord, 0, len(c.entries)+n), c.entries...))
+}
+
+// generator appends the diagonal to the off-diagonal rates of an n-state
+// chain — each state's entry is minus its exit rates, summed in rate
+// order — and assembles the CSR generator.
+func generator(n int, rates []linalg.Coord) *linalg.CSR {
 	exit := make([]float64, n)
-	entries := make([]linalg.Coord, 0, len(c.entries)+n)
-	for _, e := range c.entries {
-		entries = append(entries, e)
+	for _, e := range rates {
 		exit[e.Row] += e.Val
 	}
 	for i := 0; i < n; i++ {
-		entries = append(entries, linalg.Coord{Row: i, Col: i, Val: -exit[i]})
+		rates = append(rates, linalg.Coord{Row: i, Col: i, Val: -exit[i]})
 	}
-	return linalg.NewCSR(n, n, entries)
+	return linalg.NewCSR(n, n, rates)
 }
 
 // SteadyState solves for the stationary distribution, using a direct LU
@@ -109,7 +114,8 @@ func (c *CTMC) Transient(pi0 []float64, t float64, eps float64) ([]float64, erro
 // uniformization loop polls the context every few matrix-vector products
 // and aborts mid-solve with ctx.Err() when it is cancelled — for stiff
 // chains (large lambda*t) the loop runs tens of thousands of products. The
-// products reuse one buffer, so allocations do not grow with t.
+// products alternate between two buffers, so allocations do not grow with
+// t.
 func (c *CTMC) TransientContext(ctx context.Context, pi0 []float64, t float64, eps float64) ([]float64, error) {
 	n := c.Len()
 	if len(pi0) != n {
@@ -138,8 +144,9 @@ func (c *CTMC) TransientContext(ctx context.Context, pi0 []float64, t float64, e
 	}
 	lam *= 1.02
 	// v_k = pi0 * P^k with P = I + Q/lam; result = sum poisson(k; lam t) v_k.
+	cols := q.Columns()
 	v := append([]float64(nil), pi0...)
-	qv := make([]float64, n)
+	next := make([]float64, n)
 	out := make([]float64, n)
 	// Poisson weights computed iteratively in log space to avoid overflow.
 	lt := lam * t
@@ -163,10 +170,8 @@ func (c *CTMC) TransientContext(ctx context.Context, pi0 []float64, t float64, e
 			return nil, fmt.Errorf("markov: uniformization did not converge (lambda*t = %v)", lt)
 		}
 		// Advance v <- v P and the Poisson weight.
-		q.VecMulTo(qv, v)
-		for i := range v {
-			v[i] += qv[i] / lam
-		}
+		cols.MulAddTo(next, v, v, lam)
+		v, next = next, v
 		logw += math.Log(lt) - math.Log(float64(k+1))
 	}
 	// Normalize away the truncated tail.
