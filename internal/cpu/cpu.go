@@ -10,6 +10,16 @@
 // service resumes. The simulator reports the time fraction spent in each of
 // the four power states (standby, power-up, idle, active), from which
 // equation 25 yields energy.
+//
+// The event loop allocates nothing per event. A pending event is a value,
+// a kind plus its time and a sequence number counting the scheduling calls,
+// and events fire in (time, sequence) order, so simultaneous events fire
+// first-scheduled first. Arrivals wait in a binary min-heap, one per
+// thinking customer or one for an open source. The CPU has at most one
+// event of its own pending (power-up completion, departure or power-down
+// timer), so that event sits in one slot beside the heap; an arrival that
+// finds the CPU idle cancels the timer by overwriting it with its
+// departure. The FIFO job queue is a ring that grows only with the backlog.
 package cpu
 
 import (
@@ -17,7 +27,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/des"
 	"repro/internal/dist"
 	"repro/internal/energy"
 	"repro/internal/stats"
@@ -126,22 +135,56 @@ func (r *Result) EnergyJoules(p energy.PowerModel, seconds float64) float64 {
 	return p.EnergyJoules(r.Fractions, seconds)
 }
 
-// job tracks one queued task.
-type job struct {
-	arrival  float64
-	customer int // closed-workload customer id, -1 for open
+// eventKind says what a pending event does when it fires.
+type eventKind uint8
+
+const (
+	noEvent eventKind = iota // marks an empty server slot
+	arrive
+	powerUpDone
+	depart
+	powerDown
+)
+
+// event is one pending event; seq numbers the events in scheduling order.
+type event struct {
+	t    float64
+	seq  uint64
+	kind eventKind
 }
 
-// sim is the run state.
+func (e *event) before(o *event) bool {
+	if e.t != o.t {
+		return e.t < o.t
+	}
+	return e.seq < o.seq
+}
+
+// ctxCheckStride is how many events run fires between context polls:
+// frequent enough that cancellation lands within microseconds of wall
+// clock, rare enough that the poll never shows up in profiles.
+const ctxCheckStride = 1024
+
+// openQueueCap is an open workload's initial job-queue capacity.
+const openQueueCap = 16
+
+// sim is the run state. Closed-workload customers are interchangeable, so
+// neither events nor jobs record which customer they belong to.
 type sim struct {
 	cfg   Config
-	rng   *xrand.Rand
-	des   *des.Simulator
+	rng   xrand.Rand
+	now   float64
 	state energy.State
-	queue []job
 	trace *traceCollector
 
-	pdtHandle des.Handle
+	// queue is a ring of the arrival times of the jobs in the system, in
+	// FIFO order from queue[head]; the first is in service.
+	queue       []float64
+	head, count int
+
+	arrivals []event // min-heap by (t, seq)
+	server   event   // the CPU's pending event, if kind != noEvent
+	seq      uint64
 
 	lastT   float64
 	fracAcc [energy.NumStates]float64
@@ -154,7 +197,6 @@ type sim struct {
 	served              uint64
 	maxQueue            int
 	cycles              uint64
-	exhausted           bool // open-workload source returned +Inf
 }
 
 // Run executes one simulation and returns the measured result.
@@ -163,8 +205,10 @@ func Run(cfg Config) (*Result, error) {
 }
 
 // RunContext is Run with cooperative cancellation: the event loop polls the
-// context every few hundred dispatched events and a cancelled context
-// aborts the run mid-simulation with ctx.Err().
+// context every ctxCheckStride events and a cancelled context aborts the
+// run mid-simulation with ctx.Err(). A sampled service, think or arrival
+// delay that is negative, NaN or infinite fails the run with an error
+// naming its source; an arrival gap of +Inf ends an open source instead.
 func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -174,34 +218,142 @@ func RunContext(ctx context.Context, cfg Config) (*Result, error) {
 
 // runInternal is the shared body of Run and RunWithTrace; trace may be nil.
 func runInternal(ctx context.Context, cfg Config, trace *traceCollector) (*Result, error) {
-	s := &sim{
-		cfg:   cfg,
-		rng:   xrand.NewStream(cfg.Seed, 0),
-		des:   des.New(),
-		state: energy.Standby,
-		trace: trace,
+	s, err := newSim(cfg, trace)
+	if err != nil {
+		return nil, err
 	}
+	horizon := cfg.Warmup + cfg.SimTime
+	if err := s.run(ctx, horizon); err != nil {
+		return nil, err
+	}
+	return s.result(horizon), nil
+}
+
+// newSim returns a run at time zero, in standby, with its first arrivals
+// scheduled.
+func newSim(cfg Config, trace *traceCollector) (*sim, error) {
+	s := &sim{cfg: cfg, state: energy.Standby, trace: trace}
+	s.rng.SeedStream(cfg.Seed, 0)
 	s.queueAcc.Start(0, 0)
 	if trace != nil {
 		trace.onState(0, s.state)
 	}
-
-	if cfg.Closed != nil {
-		for c := 0; c < cfg.Closed.Customers; c++ {
-			customer := c
-			s.des.Schedule(cfg.Closed.Think.Sample(s.rng), 0, func() { s.arrive(customer) })
+	if cfg.Closed == nil {
+		s.queue = make([]float64, openQueueCap)
+		s.arrivals = make([]event, 0, 1)
+		return s, s.scheduleNextArrival()
+	}
+	s.queue = make([]float64, cfg.Closed.Customers)
+	s.arrivals = make([]event, 0, cfg.Closed.Customers)
+	for c := 0; c < cfg.Closed.Customers; c++ {
+		if err := s.think(); err != nil {
+			return nil, err
 		}
-	} else {
-		s.scheduleNextArrival()
 	}
+	return s, nil
+}
 
-	horizon := cfg.Warmup + cfg.SimTime
-	if _, err := s.des.RunUntilContext(ctx, horizon); err != nil {
-		return nil, err
+// run fires the pending events in (t, seq) order up to and including the
+// horizon and leaves the clock at the horizon.
+func (s *sim) run(ctx context.Context, horizon float64) error {
+	for countdown := ctxCheckStride; ; countdown-- {
+		if countdown <= 0 {
+			countdown = ctxCheckStride
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+		}
+		ev, ok := s.next(horizon)
+		if !ok {
+			break
+		}
+		s.now = ev.t
+		var err error
+		switch ev.kind {
+		case arrive:
+			err = s.arrive()
+		case powerUpDone:
+			err = s.powerUpDone()
+		case depart:
+			err = s.depart()
+		case powerDown:
+			s.setState(energy.Standby)
+		}
+		if err != nil {
+			return err
+		}
 	}
+	s.now = horizon
+	return nil
+}
+
+// next removes and returns the earliest pending event; ok is false when
+// none fires by the horizon.
+func (s *sim) next(horizon float64) (ev event, ok bool) {
+	if s.server.kind != noEvent && (len(s.arrivals) == 0 || s.server.before(&s.arrivals[0])) {
+		if s.server.t > horizon {
+			return ev, false
+		}
+		ev, s.server.kind = s.server, noEvent
+		return ev, true
+	}
+	if len(s.arrivals) == 0 || s.arrivals[0].t > horizon {
+		return ev, false
+	}
+	h := s.arrivals
+	ev, n := h[0], len(h)-1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		m := 2*i + 1
+		if m >= n {
+			break
+		}
+		if m+1 < n && h[m+1].before(&h[m]) {
+			m++
+		}
+		if !h[m].before(&h[i]) {
+			break
+		}
+		h[i], h[m] = h[m], h[i]
+		i = m
+	}
+	s.arrivals = h
+	return ev, true
+}
+
+// after returns an event of the given kind delay seconds from now.
+func (s *sim) after(delay float64, kind eventKind) event {
+	s.seq++
+	return event{t: s.now + delay, seq: s.seq, kind: kind}
+}
+
+// scheduleArrival pushes an arrival delay seconds from now onto the heap.
+func (s *sim) scheduleArrival(source string, delay float64) error {
+	if err := s.checkDelay(source, delay); err != nil {
+		return err
+	}
+	h := append(s.arrivals, s.after(delay, arrive))
+	for i := len(h) - 1; i > 0 && h[i].before(&h[(i-1)/2]); i = (i - 1) / 2 {
+		h[i], h[(i-1)/2] = h[(i-1)/2], h[i]
+	}
+	s.arrivals = h
+	return nil
+}
+
+// checkDelay rejects a sampled delay that is negative, NaN or infinite,
+// naming its source: service, think or arrival.
+func (s *sim) checkDelay(source string, d float64) error {
+	if d >= 0 && !math.IsInf(d, 1) {
+		return nil
+	}
+	return fmt.Errorf("cpu: %s delay %v sampled at t=%v; delays must be finite and non-negative", source, d, s.now)
+}
+
+// result closes the accounting at the horizon and reports the run.
+func (s *sim) result(horizon float64) *Result {
 	s.integrateTo(horizon)
 	s.queueAcc.Advance(horizon)
-
 	res := &Result{
 		JobsArrived: s.arrived,
 		JobsServed:  s.served,
@@ -210,11 +362,11 @@ func runInternal(ctx context.Context, cfg Config, trace *traceCollector) (*Resul
 		PowerCycles: s.cycles,
 	}
 	for i := range s.fracAcc {
-		res.Fractions[i] = s.fracAcc[i] / cfg.SimTime
+		res.Fractions[i] = s.fracAcc[i] / s.cfg.SimTime
 	}
 	// Queue integral over the measured window only.
-	res.MeanJobs = (s.queueAcc.Integral(horizon) - s.warmupQueueIntegral) / cfg.SimTime
-	return res, nil
+	res.MeanJobs = (s.queueAcc.Integral(horizon) - s.warmupQueueIntegral) / s.cfg.SimTime
+	return res
 }
 
 // warmupQueueIntegral is captured when the clock first passes the warmup
@@ -235,88 +387,105 @@ func (s *sim) integrateTo(now float64) {
 
 // setState accumulates elapsed time in the old state and switches.
 func (s *sim) setState(ns energy.State) {
-	s.integrateTo(s.des.Now())
+	s.integrateTo(s.now)
 	s.state = ns
 	if s.trace != nil {
-		s.trace.onState(s.des.Now(), ns)
+		s.trace.onState(s.now, ns)
 	}
 }
 
 func (s *sim) setQueueLen(n int) {
-	s.queueAcc.Set(s.des.Now(), float64(n))
+	s.queueAcc.Set(s.now, float64(n))
 	if n > s.maxQueue {
 		s.maxQueue = n
 	}
 }
 
-func (s *sim) scheduleNextArrival() {
-	gap := s.cfg.Arrivals.Next(s.rng)
-	if math.IsInf(gap, 1) {
-		s.exhausted = true
-		return
+// scheduleNextArrival draws the open source's next gap; +Inf means the
+// source is exhausted.
+func (s *sim) scheduleNextArrival() error {
+	if gap := s.cfg.Arrivals.Next(&s.rng); !math.IsInf(gap, 1) {
+		return s.scheduleArrival("arrival", gap)
 	}
-	s.des.ScheduleAfter(gap, 0, func() { s.arrive(-1) })
+	return nil
 }
 
-// arrive handles a job arrival (customer >= 0 for closed workloads).
-func (s *sim) arrive(customer int) {
-	now := s.des.Now()
-	if now >= s.cfg.Warmup {
+// think schedules a closed-workload customer's next arrival.
+func (s *sim) think() error {
+	return s.scheduleArrival("think", s.cfg.Closed.Think.Sample(&s.rng))
+}
+
+func (s *sim) arrive() error {
+	if s.now >= s.cfg.Warmup {
 		s.arrived++
 	}
-	s.queue = append(s.queue, job{arrival: now, customer: customer})
-	s.setQueueLen(len(s.queue))
-	if customer < 0 {
-		s.scheduleNextArrival()
+	if s.count == len(s.queue) { // full: unroll the ring into one twice the size
+		grown := make([]float64, 2*len(s.queue))
+		copy(grown[copy(grown, s.queue[s.head:]):], s.queue[:s.head])
+		s.queue, s.head = grown, 0
+	}
+	s.queue[(s.head+s.count)%len(s.queue)] = s.now
+	s.count++
+	s.setQueueLen(s.count)
+	if s.cfg.Closed == nil {
+		if err := s.scheduleNextArrival(); err != nil {
+			return err
+		}
 	}
 	switch s.state {
 	case energy.Standby:
 		s.setState(energy.PowerUp)
 		s.cycles++
-		s.des.ScheduleAfter(s.cfg.PUD, 0, s.powerUpDone)
+		s.server = s.after(s.cfg.PUD, powerUpDone)
 	case energy.Idle:
-		// Cancel the pending power-down timer and begin service.
-		s.des.Cancel(s.pdtHandle)
-		s.startService()
+		// Begin service: the departure replaces the pending power-down
+		// timer in the server slot, which cancels it.
+		return s.startService()
 	case energy.PowerUp, energy.Active:
 		// Job waits in the queue.
 	}
+	return nil
 }
 
-func (s *sim) powerUpDone() {
-	if len(s.queue) > 0 {
-		s.startService()
-		return
+func (s *sim) powerUpDone() error {
+	if s.count > 0 {
+		return s.startService()
 	}
 	// Unreachable under the paper's semantics (power-up is triggered by an
 	// arrival and nothing drains the queue during it), but harmless:
 	s.becomeIdle()
+	return nil
 }
 
-func (s *sim) startService() {
+func (s *sim) startService() error {
 	s.setState(energy.Active)
-	service := s.cfg.Service.Sample(s.rng)
-	s.des.ScheduleAfter(service, 0, s.depart)
+	d := s.cfg.Service.Sample(&s.rng)
+	if err := s.checkDelay("service", d); err != nil {
+		return err
+	}
+	s.server = s.after(d, depart)
+	return nil
 }
 
-func (s *sim) depart() {
-	now := s.des.Now()
-	j := s.queue[0]
-	s.queue = s.queue[1:]
-	s.setQueueLen(len(s.queue))
-	if now >= s.cfg.Warmup {
+func (s *sim) depart() error {
+	arrival := s.queue[s.head]
+	s.head = (s.head + 1) % len(s.queue)
+	s.count--
+	s.setQueueLen(s.count)
+	if s.now >= s.cfg.Warmup {
 		s.served++
-		s.latency.Add(now - j.arrival)
+		s.latency.Add(s.now - arrival)
 	}
 	if s.cfg.Closed != nil {
-		customer := j.customer
-		s.des.ScheduleAfter(s.cfg.Closed.Think.Sample(s.rng), 0, func() { s.arrive(customer) })
+		if err := s.think(); err != nil {
+			return err
+		}
 	}
-	if len(s.queue) > 0 {
-		s.startService()
-		return
+	if s.count > 0 {
+		return s.startService()
 	}
 	s.becomeIdle()
+	return nil
 }
 
 func (s *sim) becomeIdle() {
@@ -331,8 +500,6 @@ func (s *sim) becomeIdle() {
 			return
 		}
 		s.setState(energy.Idle)
-		s.pdtHandle = s.des.ScheduleAfter(s.cfg.PDT, 0, func() {
-			s.setState(energy.Standby)
-		})
+		s.server = s.after(s.cfg.PDT, powerDown)
 	}
 }

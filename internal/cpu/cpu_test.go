@@ -1,13 +1,16 @@
 package cpu
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/energy"
 	"repro/internal/queueing"
 	"repro/internal/workload"
+	"repro/internal/xrand"
 )
 
 // paperConfig returns the paper's Table 2 operating point.
@@ -415,5 +418,120 @@ func BenchmarkRunPaperSecond(b *testing.B) {
 		if _, err := Run(cfg); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestRunAllocsIndependentOfHorizon: the event loop allocates nothing per
+// event, so a run 100 times longer makes exactly as many allocations.
+func TestRunAllocsIndependentOfHorizon(t *testing.T) {
+	closed := paperConfig(0.5, 0.001)
+	closed.Arrivals = nil
+	closed.Closed = &workload.Closed{Customers: 5, Think: dist.ExpMean(1)}
+	for name, cfg := range map[string]Config{"open": paperConfig(0.5, 0.001), "closed-5": closed} {
+		allocs := func(simTime float64) float64 {
+			c := cfg
+			c.SimTime = simTime
+			return testing.AllocsPerRun(5, func() {
+				if _, err := Run(c); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		if short, long := allocs(100), allocs(10000); short != long {
+			t.Errorf("%s: %v allocs for 100 s but %v for 10,000 s", name, short, long)
+		}
+	}
+}
+
+// TestPendingEventsBounded: cancelling the power-down timer removes it, so
+// even with a 1e4 s timer re-armed in every idle period the pending set
+// never exceeds the CPU's event plus one per customer or open source.
+func TestPendingEventsBounded(t *testing.T) {
+	closed := paperConfig(1e4, 0.3)
+	closed.Arrivals = nil
+	closed.Closed = &workload.Closed{Customers: 3, Think: dist.ExpMean(1)}
+	for name, cfg := range map[string]Config{"open": paperConfig(1e4, 0.3), "closed-3": closed} {
+		customers := 1
+		if cfg.Closed != nil {
+			customers = cfg.Closed.Customers
+		}
+		s, err := newSim(cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for h := 1.0; h <= 20000; h++ {
+			if err := s.run(context.Background(), h); err != nil {
+				t.Fatal(err)
+			}
+			n := len(s.arrivals)
+			if s.server.kind != noEvent {
+				n++
+			}
+			if n > 2+customers {
+				t.Fatalf("%s: %d events pending at t=%v, want at most %d", name, n, h, 2+customers)
+			}
+		}
+		if s.now != 20000 {
+			t.Fatalf("%s: clock at %v after running to 20000", name, s.now)
+		}
+	}
+}
+
+// constDist always samples v, which the shipped constructors would refuse.
+type constDist float64
+
+func (d constDist) Sample(*xrand.Rand) float64 { return float64(d) }
+func (d constDist) Mean() float64              { return float64(d) }
+func (d constDist) Var() float64               { return 0 }
+func (d constDist) String() string             { return "const" }
+
+// constSource spaces arrivals by a fixed gap, which may be invalid.
+type constSource float64
+
+func (g constSource) Next(*xrand.Rand) float64 { return float64(g) }
+func (g constSource) Rate() float64            { return 0 }
+func (g constSource) String() string           { return "const-gap" }
+
+// TestBadSampledDelayFailsRun: a negative, NaN or infinite delay from a
+// service, think or arrival law is an error naming its source, not a
+// panic.
+func TestBadSampledDelayFailsRun(t *testing.T) {
+	open := func(gap workload.Source, svc dist.Distribution) Config {
+		return Config{Arrivals: gap, Service: svc, PDT: 0.5, PUD: 0.001, SimTime: 100, Seed: 1}
+	}
+	closed := func(think dist.Distribution) Config {
+		return Config{
+			Closed:  &workload.Closed{Customers: 2, Think: think},
+			Service: dist.ExpMean(0.1), PDT: 0.5, SimTime: 100, Seed: 1,
+		}
+	}
+	cases := []struct {
+		name, source string
+		cfg          Config
+	}{
+		{"negative-service", "service", open(workload.NewPoisson(1), dist.Deterministic{Value: -1})},
+		{"nan-service", "service", open(workload.NewPoisson(1), constDist(math.NaN()))},
+		{"inf-service", "service", open(workload.NewPoisson(1), constDist(math.Inf(1)))},
+		{"nan-think", "think", closed(constDist(math.NaN()))},
+		{"negative-think", "think", closed(constDist(-1))},
+		{"inf-think", "think", closed(constDist(math.Inf(1)))},
+		{"negative-gap", "arrival", open(constSource(-1), dist.ExpMean(0.1))},
+		{"nan-gap", "arrival", open(constSource(math.NaN()), dist.ExpMean(0.1))},
+		{"minus-inf-gap", "arrival", open(constSource(math.Inf(-1)), dist.ExpMean(0.1))},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Run(tc.cfg)
+			if err == nil || !strings.Contains(err.Error(), tc.source) {
+				t.Fatalf("Run returned %v, want an error naming %q", err, tc.source)
+			}
+			if _, err := RunReplications(tc.cfg, 2); err == nil {
+				t.Fatal("RunReplications accepted the bad delay")
+			}
+		})
+	}
+	// +Inf from an open source ends it rather than failing the run.
+	if _, err := Run(open(constSource(math.Inf(1)), dist.ExpMean(0.1))); err != nil {
+		t.Fatalf("exhausted source failed the run: %v", err)
 	}
 }

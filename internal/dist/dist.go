@@ -19,7 +19,8 @@ import (
 // for service times, think times and transition firing delays.
 type Distribution interface {
 	// Sample draws one value using the given generator. Samples must be
-	// non-negative; the simulation engines panic otherwise.
+	// finite and non-negative: the CPU simulator fails the run with an
+	// error otherwise, and the Petri-net engine panics.
 	Sample(r *xrand.Rand) float64
 	// Mean returns the expected value.
 	Mean() float64

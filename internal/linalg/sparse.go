@@ -193,6 +193,23 @@ func (c *Columns) MulAddTo(dst, base, x []float64, div float64) float64 {
 	return sum
 }
 
+// MaxExitRate returns the largest negated diagonal entry of a generator
+// matrix, its fastest exit rate, or 0 when no state has one; uniformized
+// solvers scale it a little to get their rate.
+func (m *CSR) MaxExitRate() float64 {
+	maxExit := 0.0
+	for i := 0; i < m.RowsN; i++ {
+		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
+			if m.ColIdx[k] == i {
+				if r := -m.Val[k]; r > maxExit {
+					maxExit = r
+				}
+			}
+		}
+	}
+	return maxExit
+}
+
 // ToDense expands the matrix; intended for tests and small systems.
 func (m *CSR) ToDense() *Dense {
 	d := NewDense(m.RowsN, m.ColsN)
@@ -247,16 +264,7 @@ func StationaryCTMCContext(ctx context.Context, q *CSR, opt PowerOptions) ([]flo
 		opt.Tol = 1e-13
 	}
 	// Uniformization rate: a bit above the largest exit rate.
-	maxExit := 0.0
-	for i := 0; i < n; i++ {
-		for k := q.RowPtr[i]; k < q.RowPtr[i+1]; k++ {
-			if q.ColIdx[k] == i {
-				if r := -q.Val[k]; r > maxExit {
-					maxExit = r
-				}
-			}
-		}
-	}
+	maxExit := q.MaxExitRate()
 	pi := make([]float64, n)
 	for i := range pi {
 		pi[i] = 1 / float64(n)

@@ -129,16 +129,7 @@ func (c *CTMC) TransientContext(ctx context.Context, pi0 []float64, t float64, e
 	}
 	q := c.Generator()
 	// Uniformization rate.
-	lam := 0.0
-	for i := 0; i < n; i++ {
-		for k := q.RowPtr[i]; k < q.RowPtr[i+1]; k++ {
-			if q.ColIdx[k] == i {
-				if r := -q.Val[k]; r > lam {
-					lam = r
-				}
-			}
-		}
-	}
+	lam := q.MaxExitRate()
 	if lam == 0 || t == 0 {
 		return append([]float64(nil), pi0...), nil
 	}

@@ -138,8 +138,9 @@ func TestSweepServiceFaultInjection(t *testing.T) {
 	go func() { sweepDone <- sweepCmd.Wait() }()
 
 	// Freeze the victim, check it holds a lease, and only then kill it.
-	// SIGSTOP makes the check race-free: a frozen worker cannot submit
-	// results between the status read and the SIGKILL.
+	// SIGSTOP makes the check race-free once any upload already sent has
+	// landed: a frozen worker cannot submit results between the status
+	// read and the SIGKILL.
 	pid := victim.Process.Pid
 	killed := false
 	for i := 0; i < 500 && !killed; i++ {
@@ -152,6 +153,13 @@ func TestSweepServiceFaultInjection(t *testing.T) {
 			t.Fatalf("SIGSTOP: %v", err)
 		}
 		st, err := client.Status()
+		if err == nil && holdsLease(st, "victim") {
+			// Results the victim sent just before it froze may still be
+			// in flight and complete the lease; only a lease still held
+			// after a pause is held by the frozen worker.
+			time.Sleep(100 * time.Millisecond)
+			st, err = client.Status()
+		}
 		if err == nil && holdsLease(st, "victim") {
 			if err := syscall.Kill(pid, syscall.SIGKILL); err != nil {
 				t.Fatalf("SIGKILL: %v", err)
