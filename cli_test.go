@@ -170,6 +170,23 @@ func TestWsnenergyRejectsUnstableConfig(t *testing.T) {
 	}
 }
 
+// TestWsnenergyRejectsNonFiniteModelFlags: an infinite delay or horizon
+// fails validation with a non-zero exit instead of printing a NaN row
+// (-pud inf) or simulating forever (-simtime inf).
+func TestWsnenergyRejectsNonFiniteModelFlags(t *testing.T) {
+	for _, tc := range []struct{ flag, field string }{
+		{"-pud", "PUD"},
+		{"-pdt", "PDT"},
+		{"-simtime", "SimTime"},
+		{"-warmup", "Warmup"},
+	} {
+		out := runCLIExpectError(t, "-experiment", "table4", "-format", "csv", tc.flag, "inf")
+		if !strings.Contains(out, tc.field) || strings.Contains(out, "NaN") {
+			t.Errorf("%s inf: want a validation error naming %s, got:\n%s", tc.flag, tc.field, out)
+		}
+	}
+}
+
 // The TestPetrisim* tests drive the `petri` subcommand, the TestSweep*
 // tests below the `grid` subcommand.
 func TestPetrisimInvariants(t *testing.T) {

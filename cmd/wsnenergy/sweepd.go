@@ -53,8 +53,8 @@ func serveMain(args []string) {
 		partitions   = fs.Int("partitions", sweepd.DefaultPartitions, "default lease partitions per sweep")
 		stateDir     = fs.String("state-dir", "", "journal every transition under this directory and recover from it at startup (also hosts the result cache)")
 		drainWait    = fs.Duration("drain", 30*time.Second, "on SIGTERM, wait this long for in-flight leases before exiting")
-		cacheDir     = fs.String("cache", "", "back the shared result cache with this directory (default: in-memory LRU, or state-dir/cache)")
-		cacheEntries = fs.Int("cache-entries", 0, "entry bound for the in-memory result cache (0 = 65536)")
+		cacheDir     = fs.String("cache", "", "persist the shared result cache in this directory, behind its in-memory LRU (default: state-dir/cache with -state-dir, else memory only)")
+		cacheEntries = fs.Int("cache-entries", 0, "entry bound for the in-memory LRU that answers before -cache or state-dir/cache (0 = 65536)")
 		quiet        = fs.Bool("quiet", false, "suppress progress logging")
 	)
 	parseFlags(fs, args)

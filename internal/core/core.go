@@ -77,14 +77,17 @@ func (c Config) Validate() error {
 	if c.Lambda >= c.Mu {
 		return fmt.Errorf("core: unstable queue: rho = %v >= 1", c.Lambda/c.Mu)
 	}
-	if c.PDT < 0 || c.PUD < 0 {
-		return fmt.Errorf("core: PDT and PUD must be non-negative, got %v and %v", c.PDT, c.PUD)
+	// The `!(x >= 0)` / `!(x > 0)` forms also catch NaN. An infinite delay
+	// or horizon is no model either: never sleeping is
+	// cpu.PolicyNeverSleep, not PDT = +Inf.
+	if !(c.PDT >= 0) || math.IsInf(c.PDT, 0) || !(c.PUD >= 0) || math.IsInf(c.PUD, 0) {
+		return fmt.Errorf("core: PDT and PUD must be non-negative and finite, got %v and %v", c.PDT, c.PUD)
 	}
-	if c.SimTime <= 0 {
-		return fmt.Errorf("core: SimTime must be positive, got %v", c.SimTime)
+	if !(c.SimTime > 0) || math.IsInf(c.SimTime, 0) {
+		return fmt.Errorf("core: SimTime must be positive and finite, got %v", c.SimTime)
 	}
-	if c.Warmup < 0 {
-		return fmt.Errorf("core: Warmup must be non-negative, got %v", c.Warmup)
+	if !(c.Warmup >= 0) || math.IsInf(c.Warmup, 0) {
+		return fmt.Errorf("core: Warmup must be non-negative and finite, got %v", c.Warmup)
 	}
 	if c.Replications < 0 {
 		return fmt.Errorf("core: Replications must be non-negative, got %d", c.Replications)

@@ -48,6 +48,31 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
+// TestConfigValidateNonFinite: NaN and ±Inf are rejected in every delay
+// and horizon, naming the field, so an infinite -pud or -simtime fails
+// before any estimator runs.
+func TestConfigValidateNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"PDT", func(c *Config, v float64) { c.PDT = v }},
+		{"PUD", func(c *Config, v float64) { c.PUD = v }},
+		{"SimTime", func(c *Config, v float64) { c.SimTime = v }},
+		{"Warmup", func(c *Config, v float64) { c.Warmup = v }},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			cfg := PaperConfig()
+			f.set(&cfg, v)
+			err := cfg.Validate()
+			if err == nil || !strings.Contains(err.Error(), f.name) {
+				t.Errorf("%s = %v: Validate() = %v, want an error naming %s", f.name, v, err, f.name)
+			}
+		}
+	}
+}
+
 func TestNetStructureMatchesTable1(t *testing.T) {
 	n := BuildCPUNet(PaperConfig())
 	if err := n.Validate(); err != nil {

@@ -41,8 +41,9 @@ const (
 	// PolicyTimeout powers down after PDT seconds of contiguous idleness
 	// (the paper's model).
 	PolicyTimeout Policy = iota
-	// PolicyNeverSleep keeps the CPU on forever (PDT = +Inf): the plain
-	// M/M/1 baseline.
+	// PolicyNeverSleep keeps the CPU on forever, as an infinite PDT would
+	// (PDT itself must stay finite; it is ignored): the plain M/M/1
+	// baseline.
 	PolicyNeverSleep
 	// PolicyAlwaysSleep powers down the instant the queue empties
 	// (PDT = 0).
@@ -98,17 +99,19 @@ func (c Config) Validate() error {
 	if c.Service == nil {
 		return fmt.Errorf("cpu: Service distribution is required")
 	}
-	if c.PDT < 0 || math.IsNaN(c.PDT) {
-		return fmt.Errorf("cpu: PDT must be non-negative, got %v", c.PDT)
+	// The `!(x >= 0)` / `!(x > 0)` forms also catch NaN. PDT must be
+	// finite under every policy: never sleeping is PolicyNeverSleep.
+	if !(c.PDT >= 0) || math.IsInf(c.PDT, 0) {
+		return fmt.Errorf("cpu: PDT must be non-negative and finite, got %v", c.PDT)
 	}
-	if c.PUD < 0 || math.IsNaN(c.PUD) {
-		return fmt.Errorf("cpu: PUD must be non-negative, got %v", c.PUD)
+	if !(c.PUD >= 0) || math.IsInf(c.PUD, 0) {
+		return fmt.Errorf("cpu: PUD must be non-negative and finite, got %v", c.PUD)
 	}
-	if c.SimTime <= 0 {
-		return fmt.Errorf("cpu: SimTime must be positive, got %v", c.SimTime)
+	if !(c.SimTime > 0) || math.IsInf(c.SimTime, 0) {
+		return fmt.Errorf("cpu: SimTime must be positive and finite, got %v", c.SimTime)
 	}
-	if c.Warmup < 0 {
-		return fmt.Errorf("cpu: Warmup must be non-negative, got %v", c.Warmup)
+	if !(c.Warmup >= 0) || math.IsInf(c.Warmup, 0) {
+		return fmt.Errorf("cpu: Warmup must be non-negative and finite, got %v", c.Warmup)
 	}
 	return nil
 }

@@ -49,6 +49,34 @@ func TestValidate(t *testing.T) {
 	}
 }
 
+// TestValidateNonFinite: NaN and ±Inf are rejected in every delay and
+// horizon under every policy, naming the field; never sleeping is a
+// policy, not PDT = +Inf.
+func TestValidateNonFinite(t *testing.T) {
+	fields := []struct {
+		name string
+		set  func(*Config, float64)
+	}{
+		{"PDT", func(c *Config, v float64) { c.PDT = v }},
+		{"PUD", func(c *Config, v float64) { c.PUD = v }},
+		{"SimTime", func(c *Config, v float64) { c.SimTime = v }},
+		{"Warmup", func(c *Config, v float64) { c.Warmup = v }},
+	}
+	for _, policy := range []Policy{PolicyTimeout, PolicyNeverSleep, PolicyAlwaysSleep} {
+		for _, f := range fields {
+			for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+				c := paperConfig(0.5, 0.001)
+				c.Policy = policy
+				f.set(&c, v)
+				err := c.Validate()
+				if err == nil || !strings.Contains(err.Error(), f.name) {
+					t.Errorf("%v, %s = %v: Validate() = %v, want an error naming %s", policy, f.name, v, err, f.name)
+				}
+			}
+		}
+	}
+}
+
 func TestFractionsSumToOne(t *testing.T) {
 	res, err := Run(paperConfig(0.5, 0.3))
 	if err != nil {

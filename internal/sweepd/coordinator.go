@@ -38,13 +38,13 @@ type Options struct {
 	// file cache). Empty runs the coordinator purely in memory. Only Open
 	// honors it; NewCoordinator ignores the field.
 	StateDir string
-	// CacheEntries bounds the default coordinator-hosted cache backend
-	// (core.MemoryBackend.MaxEntries; 0 = 65536). Ignored when Cache or a
-	// StateDir file cache is in effect.
+	// CacheEntries bounds the coordinator's resident result cache, the LRU
+	// core.MemoryBackend every lookup tries first (MaxEntries; 0 = 65536).
 	CacheEntries int
-	// Cache optionally backs the coordinator-hosted remote result cache;
-	// nil hosts an LRU-bounded core.MemoryBackend (or, under Open with a
-	// StateDir, a persistent file backend).
+	// Cache is the optional persistent store behind the resident cache: a
+	// resident miss reads through to it and every Put writes through. Nil
+	// keeps the cache purely in memory, except that Open with a StateDir
+	// puts a file backend under <StateDir>/cache behind it.
 	Cache core.CacheBackend
 	// Clock overrides time.Now for tests.
 	Clock func() time.Time
@@ -139,9 +139,10 @@ func NewCoordinator(opts Options) *Coordinator {
 	if opts.Clock == nil {
 		opts.Clock = time.Now
 	}
-	cache := opts.Cache
-	if cache == nil {
-		cache = &core.MemoryBackend{MaxEntries: opts.CacheEntries}
+	mem := &core.MemoryBackend{MaxEntries: opts.CacheEntries}
+	var cache core.CacheBackend = mem
+	if opts.Cache != nil {
+		cache = &tieredCache{mem: mem, store: opts.Cache}
 	}
 	c := &Coordinator{
 		opts:   opts,
@@ -156,7 +157,8 @@ func NewCoordinator(opts Options) *Coordinator {
 
 // Open builds a coordinator whose state survives restarts: a write-ahead
 // journal and accepted result sets live under opts.StateDir, and (unless
-// opts.Cache overrides it) the hosted result cache persists there too.
+// opts.Cache overrides it) the store behind the resident result cache
+// persists there too.
 // The coordinator starts not ready — call Recover to replay the journal
 // before serving leases. An empty StateDir degrades to NewCoordinator.
 func Open(opts Options) (*Coordinator, error) {
@@ -181,7 +183,9 @@ func Open(opts Options) (*Coordinator, error) {
 	return c, nil
 }
 
-// Cache returns the backend behind the coordinator's remote result cache.
+// Cache returns the coordinator's result cache (the resident LRU, in front
+// of Options.Cache when one is set), which the remote cache endpoint
+// serves and Submit resolves against.
 func (c *Coordinator) Cache() core.CacheBackend { return c.cache }
 
 // Ready reports whether the coordinator has finished journal replay (a
@@ -225,7 +229,8 @@ func (c *Coordinator) appendBestEffortLocked(rec record) {
 // here, before anything is leased: they are persisted and accepted as one
 // result set (shard.ResolvedShardIndex), and only the misses are queued,
 // re-planned into at most the requested partition count. A sweep the
-// cache answers completely is done before Submit returns. Resolution is
+// cache answers completely is done before Submit returns, its submit,
+// accept and done records journaled in one write. Resolution is
 // skipped when the coordinator cannot build the spec's Runner (a method
 // it does not know); the sweep is then leased whole, as if nothing hit.
 func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
@@ -276,6 +281,7 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 	}
 	recs := []record{{Kind: recSubmit, Sweep: id, Manifest: m}}
 	queue := m.Shards
+	var merged []core.Result
 	if len(hits) > 0 {
 		resolved, err := shard.NewResultSet(shard.ResolvedShardIndex, hits)
 		if err != nil {
@@ -296,6 +302,11 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 			if queue, err = shard.Replan(m, missing, min(parts, len(missing))); err != nil {
 				return SubmitResponse{}, err
 			}
+		} else if merged, err = shard.Merge(m, sw.sets); err == nil {
+			// Fully resolved: the done record rides in the same write too.
+			// A tear before it replays as full coverage without a state,
+			// which Recover merges.
+			recs = append(recs, record{Kind: recState, Sweep: id, State: StateDone})
 		}
 	}
 	if err := c.appendLocked(recs...); err != nil {
@@ -311,7 +322,11 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 	c.order = append(c.order, sw.id)
 	c.logf("sweep %s admitted: experiment=%q scenarios=%d resolved=%d partitions=%d",
 		sw.id, m.Experiment, m.Total, len(hits), len(sw.queue))
-	c.maybeFinishLocked(sw)
+	if merged != nil {
+		c.finishLocked(sw, merged)
+	} else {
+		c.maybeFinishLocked(sw)
+	}
 	return SubmitResponse{ID: sw.id}, nil
 }
 
@@ -611,21 +626,17 @@ func (c *Coordinator) requeueGapLocked(sw *sweep, from pending, missing []int) e
 	return nil
 }
 
-// maybeFinishLocked merges the sweep once nothing is queued or leased,
-// then compacts the journal so it tracks the live sweep set instead of
-// growing with history. A merge gap (defensive: incremental coverage
-// should have caught it) re-plans the missing indices instead of failing.
+// maybeFinishLocked merges the sweep once nothing is queued or leased and
+// journals it done. A merge gap (defensive: incremental coverage should
+// have caught it) re-plans the missing indices instead of failing.
 func (c *Coordinator) maybeFinishLocked(sw *sweep) {
 	if sw.state != StateRunning || len(sw.queue) > 0 || sw.active > 0 {
 		return
 	}
 	results, err := shard.Merge(sw.manifest, sw.sets)
 	if err == nil {
-		sw.merged = results
-		sw.state = StateDone
 		c.appendBestEffortLocked(record{Kind: recState, Sweep: sw.id, State: StateDone})
-		c.compactLocked()
-		c.logf("sweep %s complete: %d scenarios merged", sw.id, sw.manifest.Total)
+		c.finishLocked(sw, results)
 		return
 	}
 	var inc *shard.IncompleteError
@@ -639,6 +650,17 @@ func (c *Coordinator) maybeFinishLocked(sw *sweep) {
 	}
 	c.failSweepLocked(sw, err.Error())
 	c.logf("sweep %s failed at merge: %v", sw.id, err)
+}
+
+// finishLocked marks a merged sweep done, once its done record is
+// journaled, and compacts the journal when enough has been appended since
+// the last compaction, so the journal tracks the live sweep set instead of
+// growing with history.
+func (c *Coordinator) finishLocked(sw *sweep, results []core.Result) {
+	sw.merged = results
+	sw.state = StateDone
+	c.compactLocked(false)
+	c.logf("sweep %s complete: %d scenarios merged", sw.id, sw.manifest.Total)
 }
 
 // SweepStatus reports one sweep.

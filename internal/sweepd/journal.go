@@ -22,8 +22,11 @@ import (
 // with the journal holding only a reference — so the journal stays small
 // and replay never re-runs a finished scenario. On restart the coordinator
 // replays the journal (recovery.go), truncating a torn tail record instead
-// of refusing to start, and compacts the journal to per-sweep snapshot
-// records whenever a sweep completes.
+// of refusing to start, and compacts it to per-sweep snapshot records.
+// While running, it compacts again when a sweep completes and the bytes
+// appended since the last compaction have reached that compaction's size,
+// so the journal stays within twice its snapshot and each rewrite is paid
+// for by as many appended bytes.
 
 // journalVersion is the schema version of journal records; replay skips
 // records from a different version rather than mis-reading them.
@@ -113,6 +116,9 @@ type Journal struct {
 	path string
 	f    *os.File
 	seq  atomic.Uint64 // result-file uniquifier
+	// compacted is the size of the last compaction's snapshot, appended
+	// the bytes appended since (compactionDue compares them).
+	compacted, appended int
 }
 
 // OpenJournal opens (creating if needed) the journal rooted at dir.
@@ -208,11 +214,18 @@ func (j *Journal) Append(recs ...record) error {
 	if _, err := j.f.Write(buf); err != nil {
 		return fmt.Errorf("sweepd: appending journal record: %w", err)
 	}
+	j.appended += len(buf)
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("sweepd: syncing journal: %w", err)
 	}
 	return nil
 }
+
+// compactionDue reports whether the bytes appended since the last Compact
+// have reached the size of that compaction's snapshot. Compacting only
+// then keeps the journal within twice its snapshot while rewriting it no
+// more often than its appends pay for.
+func (j *Journal) compactionDue() bool { return j.appended >= j.compacted }
 
 // Load reads every valid record from the journal. A torn or corrupt tail —
 // a record interrupted mid-write by a crash — is truncated away so the
@@ -254,9 +267,9 @@ func (j *Journal) Load() ([]record, error) {
 
 // Compact atomically replaces the journal's contents with the given
 // records (per-sweep snapshots plus still-outstanding leases): write to a
-// temp file, fsync, rename over the WAL, reopen for appending. Called
-// whenever a sweep completes, so the journal's size tracks the live sweep
-// set instead of growing with history.
+// temp file, fsync, rename over the WAL, reopen for appending. Called after
+// recovery and, once compactionDue, when a sweep completes, so the
+// journal's size tracks the sweep set instead of growing with history.
 func (j *Journal) Compact(recs []record) error {
 	buf, err := frames(recs)
 	if err != nil {
@@ -294,6 +307,7 @@ func (j *Journal) Compact(recs []record) error {
 	}
 	j.f = f
 	_ = old.Close()
+	j.compacted, j.appended = len(buf), 0
 	return syncDir(j.dir)
 }
 

@@ -179,7 +179,7 @@ func (c *Coordinator) Recover() error {
 	}
 
 	// Compact so the next restart replays snapshots instead of history.
-	c.compactLocked()
+	c.compactLocked(true)
 	c.ready.Store(true)
 	c.logf("recover: %d sweeps restored from %s", len(c.order), c.journal.Dir())
 	return nil
@@ -205,10 +205,11 @@ func (c *Coordinator) loadResultsLocked(sw *sweep, ref string, haveRef map[strin
 // compactLocked rewrites the journal as one snapshot record per sweep (in
 // submission order, carrying manifest, state, counters, and result
 // references) plus one lease record per still-active lease — the minimal
-// prefix a future Recover needs. Runs whenever a sweep completes and once
-// after recovery; a compaction error leaves the previous journal intact.
-func (c *Coordinator) compactLocked() {
-	if c.journal == nil {
+// prefix a future Recover needs. Recovery forces it; a completing sweep
+// runs it only when the journal says a compaction is due. A compaction
+// error leaves the previous journal intact.
+func (c *Coordinator) compactLocked(force bool) {
+	if c.journal == nil || !(force || c.journal.compactionDue()) {
 		return
 	}
 	recs := make([]record, 0, len(c.order)+len(c.leases))

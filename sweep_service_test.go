@@ -400,6 +400,67 @@ func TestSweepServiceWarmResubmitWithoutWorkers(t *testing.T) {
 	}
 }
 
+// TestSweepServiceWarmResubmitAfterRestart: a restarted coordinator's
+// resident cache starts empty, and with -cache-entries 1 it can never hold
+// the grid, so a warm resubmission must read every entry through from
+// state-dir/cache:
+//
+//  1. a durable coordinator and one worker run a Table 4 sweep; the
+//     worker is SIGTERMed and the coordinator drained with SIGTERM;
+//  2. a coordinator restarts on the same -state-dir with -cache-entries 1;
+//  3. the sweep is resubmitted with no worker attached — it must complete
+//     at submit, lease nothing, render byte-identically to the
+//     single-process run, and count exactly one cache hit per estimate.
+func TestSweepServiceWarmResubmitAfterRestart(t *testing.T) {
+	bin := wsnenergyBinary(t)
+	golden := runBinary(t, bin, append([]string{"-experiment", "table4", "-format", "csv"}, reducedFlags...)...)
+
+	stateDir := filepath.Join(t.TempDir(), "state")
+	serveArgs := []string{"-state-dir", stateDir, "-cache-entries", "1"}
+	coord, url := startCoordinator(t, bin, serveArgs...)
+	client, err := sweepd.NewClient(url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitReady(t, client)
+	sweepArgs := func(url string) []string {
+		return append([]string{"sweep", "-join", url, "-experiment", "table4",
+			"-format", "csv", "-poll", "100ms", "-timeout", "1m"}, reducedFlags...)
+	}
+	worker := startWorker(t, bin, url, "only", "-parallel", "2")
+	if got := runBinary(t, bin, sweepArgs(url)...); got != golden {
+		t.Fatalf("cold Table 4 differs from single-process run:\n--- single ---\n%s\n--- service ---\n%s", golden, got)
+	}
+	for _, p := range []*exec.Cmd{worker, coord} {
+		if err := p.Process.Signal(syscall.SIGTERM); err != nil {
+			t.Fatalf("SIGTERM: %v", err)
+		}
+		_ = p.Wait()
+	}
+
+	_, url2 := startCoordinator(t, bin, serveArgs...)
+	client2, err := sweepd.NewClient(url2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitReady(t, client2)
+	hitsBefore := cacheHits(t, url2)
+	if got := runBinary(t, bin, sweepArgs(url2)...); got != golden {
+		t.Fatalf("warm Table 4 after restart differs from single-process run:\n--- single ---\n%s\n--- service ---\n%s", golden, got)
+	}
+	st, err := client2.Status()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Sweeps) != 2 || st.Sweeps[1].State != sweepd.StateDone || len(st.Leases) != 0 || st.Sweeps[1].Leased != 0 {
+		t.Fatalf("warm resubmission after restart did not complete at submit: %+v", st)
+	}
+	// 33 scenarios × 3 methods, each read through from disk exactly once.
+	if hitsAfter := cacheHits(t, url2); hitsAfter-hitsBefore != 99 {
+		t.Fatalf("warm resubmission after restart moved cache hits %d -> %d, want +99", hitsBefore, hitsAfter)
+	}
+}
+
 // waitReady polls /v1/readyz until the coordinator finishes journal replay.
 func waitReady(t *testing.T, client *sweepd.Client) {
 	t.Helper()
