@@ -471,19 +471,19 @@ func BenchmarkServeSweepLocal(b *testing.B) {
 	benchServeSweep(b, false)
 }
 
-// BenchmarkServeSweepLeased is BenchmarkServeSweepLocal with the worker
-// off the coordinator's cache (DisableRemoteCache). The coordinator's
-// cache stays empty, so every timed sweep is leased partition by
-// partition and served from the worker's in-process cache: the timer
-// covers the lease protocol — submit, lease, result submission, merge,
-// status polling — not the simulations.
+// BenchmarkServeSweepLeased is BenchmarkServeSweepLocal with the
+// coordinator's cache emptied before every sweep, outside the timer, so
+// every timed sweep is leased partition by partition: the timer covers
+// the lease protocol — submit, lease, the worker's markov estimates,
+// result submission and the coordinator storing them, merge, status
+// polling.
 func BenchmarkServeSweepLeased(b *testing.B) {
 	benchServeSweep(b, true)
 }
 
-// benchServeSweep times warm Figure 5 sweeps through an in-process
-// coordinator and one worker.
-func benchServeSweep(b *testing.B, workerLocalCache bool) {
+// benchServeSweep times Figure 5 sweeps through an in-process coordinator
+// and one worker: warm resubmissions, or cold sweeps when leased is set.
+func benchServeSweep(b *testing.B, leased bool) {
 	coord := sweepd.NewCoordinator(sweepd.Options{DefaultPartitions: 4})
 	srv := httptest.NewServer(sweepd.Handler(coord))
 	defer srv.Close()
@@ -512,12 +512,11 @@ func benchServeSweep(b *testing.B, workerLocalCache bool) {
 	workerDone := make(chan error, 1)
 	go func() {
 		workerDone <- sweepd.Work(ctx, sweepd.WorkerOptions{
-			Coordinator:        srv.URL,
-			Name:               "bench",
-			Parallelism:        2,
-			Client:             srv.Client(),
-			Backoff:            sweepd.Backoff{Base: 100 * time.Microsecond, Max: time.Millisecond, Factor: 2},
-			DisableRemoteCache: workerLocalCache,
+			Coordinator: srv.URL,
+			Name:        "bench",
+			Parallelism: 2,
+			Client:      srv.Client(),
+			Backoff:     sweepd.Backoff{Base: 100 * time.Microsecond, Max: time.Millisecond, Factor: 2},
 		})
 	}()
 	runSweep := func() {
@@ -543,6 +542,13 @@ func benchServeSweep(b *testing.B, workerLocalCache bool) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if leased {
+			b.StopTimer()
+			if err := coord.Cache().Reset(); err != nil {
+				b.Fatal(err)
+			}
+			b.StartTimer()
+		}
 		runSweep()
 	}
 	b.StopTimer()

@@ -3,6 +3,7 @@
 package repro_test
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"os/exec"
@@ -249,6 +250,23 @@ func TestSweepRejectsBadRange(t *testing.T) {
 	out := runCLIExpectError(t, "grid", "-pdts", "1:0:0.1")
 	if !strings.Contains(out, "invalid range") {
 		t.Fatalf("missing range error:\n%s", out)
+	}
+}
+
+// TestSweepRejectsInvalidGridPointBeforeOutput: a grid point that fails
+// validation exits non-zero with nothing on stdout, not a bare header.
+func TestSweepRejectsInvalidGridPointBeforeOutput(t *testing.T) {
+	cmd := exec.Command(wsnenergyBinary(t), "grid", "-puds", "inf", "-pdts", "0", "-methods", "markov")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	if err := cmd.Run(); err == nil {
+		t.Fatalf("grid with an infinite PUD succeeded:\n%s", stdout.String())
+	}
+	if stdout.Len() != 0 {
+		t.Fatalf("failed grid wrote to stdout:\n%s", stdout.String())
+	}
+	if !strings.Contains(stderr.String(), "PUD") {
+		t.Fatalf("error does not name PUD:\n%s", stderr.String())
 	}
 }
 

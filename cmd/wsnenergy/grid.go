@@ -65,6 +65,13 @@ func gridMain(args []string) {
 	if err != nil {
 		fatal(err)
 	}
+	// Every grid point is checked before the header is printed, so a bad
+	// axis value leaves stdout empty instead of holding a truncated table.
+	for _, s := range scenarios {
+		if err := s.Config.Validate(); err != nil {
+			fatal(fmt.Errorf("grid point %s: %w", s.Name, err))
+		}
+	}
 	ch, err := runner.RunBatch(ctx, scenarios)
 	if err != nil {
 		fatal(err)

@@ -8,8 +8,9 @@
 //
 // serve hosts the coordinator: it accepts sweeps, re-plans them against
 // the cost model its workers report, leases partitions with heartbeat
-// deadlines, replans exactly what crashed workers leave missing, and hosts
-// the fleet's shared result cache. With -state-dir every transition is
+// deadlines, replans exactly what crashed workers leave missing, and keeps
+// the fleet's result cache, storing every result set it accepts so a
+// resubmitted sweep is answered at submit. With -state-dir every transition is
 // write-ahead journaled and a restarted coordinator recovers its sweeps
 // exactly where they stopped; SIGTERM drains gracefully (stop leasing,
 // wait bounded time for in-flight work, journal a clean shutdown). work
@@ -53,7 +54,7 @@ func serveMain(args []string) {
 		partitions   = fs.Int("partitions", sweepd.DefaultPartitions, "default lease partitions per sweep")
 		stateDir     = fs.String("state-dir", "", "journal every transition under this directory and recover from it at startup (also hosts the result cache)")
 		drainWait    = fs.Duration("drain", 30*time.Second, "on SIGTERM, wait this long for in-flight leases before exiting")
-		cacheDir     = fs.String("cache", "", "persist the shared result cache in this directory, behind its in-memory LRU (default: state-dir/cache with -state-dir, else memory only)")
+		cacheDir     = fs.String("cache", "", "persist the coordinator's result cache in this directory, behind its in-memory LRU (default: state-dir/cache with -state-dir, else memory only)")
 		cacheEntries = fs.Int("cache-entries", 0, "entry bound for the in-memory LRU that answers before -cache or state-dir/cache (0 = 65536)")
 		quiet        = fs.Bool("quiet", false, "suppress progress logging")
 	)
@@ -129,8 +130,7 @@ func workMain(args []string) {
 		name     = fs.String("name", "", "worker name in coordinator status (default host:pid)")
 		parallel = fs.Int("parallel", 0, "concurrent (scenario, estimator) evaluations within this worker, the only parallelism (0 = all CPUs)")
 		idle     = fs.Int("idle-exit", 0, "exit after this many consecutive empty polls (0 = stay)")
-		cacheDir = fs.String("local-cache", "", "use a local file-backed result cache instead of the coordinator's")
-		noCache  = fs.Bool("no-remote-cache", false, "do not use the coordinator's shared result cache")
+		cacheDir = fs.String("local-cache", "", "memoize leases through a file-backed result cache in this directory (default: a fresh in-memory cache per lease)")
 		quiet    = fs.Bool("quiet", false, "suppress progress logging")
 	)
 	parseFlags(fs, args)
@@ -142,12 +142,11 @@ func workMain(args []string) {
 		*name = fmt.Sprintf("%s:%d", host, os.Getpid())
 	}
 	opts := sweepd.WorkerOptions{
-		Coordinator:        *join,
-		Name:               *name,
-		Parallelism:        *parallel,
-		MaxIdlePolls:       *idle,
-		CacheDir:           *cacheDir,
-		DisableRemoteCache: *noCache,
+		Coordinator:  *join,
+		Name:         *name,
+		Parallelism:  *parallel,
+		MaxIdlePolls: *idle,
+		CacheDir:     *cacheDir,
 	}
 	if !*quiet {
 		opts.Log = func(format string, a ...any) {

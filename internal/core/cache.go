@@ -23,9 +23,10 @@ import (
 // Figure 5 run the same PDT×PUD sweep, Tables 4 and 5 repeat it per PUD —
 // and separate Runners are no obstacle to sharing: equal effective configs
 // mean equal results regardless of which Runner computed them. Nor are
-// separate processes: the workers of a sweep-service fleet (internal/sweepd)
-// share the coordinator's cache, or one FileBackend directory, so no grid
-// point is simulated twice across the fleet.
+// separate processes: processes on one machine can share one FileBackend
+// directory, and a sweep-service coordinator (internal/sweepd) stores the
+// results its workers submit (Runner.Store) and answers resubmitted
+// scenarios from them.
 //
 // The cache is therefore pluggable behind CacheBackend, keyed by CacheKey:
 // the full config value plus the estimator's method name and concrete Go
@@ -123,16 +124,17 @@ func (k CacheKey) Hash() (string, error) {
 	return hex.EncodeToString(sum[:]), nil
 }
 
-// CacheStats reports the observable state of a cache backend.
+// CacheStats reports the observable state of a cache backend. The JSON
+// shape is what a sweep coordinator's cache stats endpoint serves.
 type CacheStats struct {
 	// Entries is the number of results currently stored.
-	Entries int
+	Entries int `json:"entries"`
 	// Hits counts successful Gets served by this backend instance (for
 	// shared stores, hits are counted per process, not globally).
-	Hits uint64
+	Hits uint64 `json:"hits"`
 	// Evictions counts entries dropped by the backend's bounding policy
 	// (the MemoryBackend's LRU eviction); unbounded backends report 0.
-	Evictions uint64
+	Evictions uint64 `json:"evictions,omitempty"`
 }
 
 // CacheBackend stores memoized estimator results. Implementations must be

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"net/http/httptest"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -316,45 +315,6 @@ func TestLRUBackendDefaultBound(t *testing.T) {
 		if s, _ := b.Stats(); s.Entries != defaultMemoryEntries || s.Evictions != 1 {
 			t.Fatalf("MaxEntries %d: stats = %+v, want %d entries, 1 eviction", b.MaxEntries, s, defaultMemoryEntries)
 		}
-	}
-}
-
-// TestLRUEvictionsOverHTTP: the eviction counter of a server-side bounded
-// backend is visible through the cache wire protocol's /stats.
-func TestLRUEvictionsOverHTTP(t *testing.T) {
-	backend := &MemoryBackend{MaxEntries: 2}
-	srv := httptest.NewServer(CacheHandler(backend))
-	defer srv.Close()
-	remote, err := NewHTTPBackend(srv.URL, srv.Client())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := remote.Put(lruKey(i), Estimate{EnergyJ: float64(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s, err := remote.Stats()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Entries != 2 || s.Evictions != 2 {
-		t.Fatalf("remote stats = %+v, want 2 entries, 2 evictions", s)
-	}
-	// The wire shape reports evictions explicitly.
-	resp, err := srv.Client().Get(srv.URL + "/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var wire struct {
-		Evictions uint64 `json:"evictions"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
-		t.Fatal(err)
-	}
-	if wire.Evictions != 2 {
-		t.Fatalf("wire evictions = %d, want 2", wire.Evictions)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"maps"
 	"math"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -284,9 +285,10 @@ func WithCache(enabled bool) RunnerOption {
 
 // WithCacheBackend routes the Runner's result memoization through a
 // specific backend instead of the process-wide default — typically a
-// FileBackend or HTTPBackend shared with the other worker processes of
-// the same sweep. Setting a backend implies WithCache(true) unless WithCache(false)
-// is also given.
+// FileBackend shared with the other worker processes of the same sweep,
+// or a private MemoryBackend that keeps one job's entries out of the
+// default cache. Setting a backend implies WithCache(true) unless
+// WithCache(false) is also given.
 func WithCacheBackend(b CacheBackend) RunnerOption {
 	return func(s *runnerSettings) error {
 		if b == nil {
@@ -486,6 +488,32 @@ func (r *Runner) Cached(scenarios []Scenario) []Result {
 		ests = nil
 	}
 	return out
+}
+
+// Store puts every estimate of the given results into the Runner's cache
+// backend under the key RunAll would use for it, so a later Cached or
+// RunAll of the same scenarios answers from the cache. The key's seed is
+// derived from the scenario's configuration, never taken from the
+// result's Seed field. A result with an invalid configuration, or without
+// exactly one estimate per estimator, is skipped; with caching off Store
+// does nothing. A sweep coordinator calls it with the results it accepts
+// from workers. Like every cache write, a Put error drops the entry.
+func (r *Runner) Store(results []Result) {
+	if !r.cache {
+		return
+	}
+	for _, res := range results {
+		if len(res.Estimates) != len(r.estimators) || slices.Contains(res.Estimates, nil) {
+			continue
+		}
+		cfg, _, err := r.resolve(res.Scenario, nil, false) // no estimates: no lookups
+		if err != nil {
+			continue
+		}
+		for ei, est := range res.Estimates {
+			_ = r.backend.Put(r.cacheKey(cfg, ei), *est)
+		}
+	}
 }
 
 // runPair evaluates one (scenario config, estimator) unit of work and, when

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync/atomic"
 	"testing"
 )
@@ -269,5 +270,74 @@ func TestRunnerCached(t *testing.T) {
 	off := cachedTestRunner(t, backend, &calls, WithCache(false))
 	if got := off.Cached(scenarios); got != nil {
 		t.Fatalf("Cached with caching off = %+v, want nil", got)
+	}
+}
+
+// TestRunnerStore: results stored into an empty backend answer Cached
+// bit-identically to the RunAll that produced them, keyed by the seed
+// derived from each configuration, not by the result's Seed field; bad
+// results are skipped and caching off stores nothing.
+func TestRunnerStore(t *testing.T) {
+	var calls atomic.Int64
+	src := cachedTestRunner(t, NewMemoryBackend(), &calls)
+	scenarios := pdtSweep(src.BaseConfig(), []float64{0, 0.25, 0.5})
+	scenarios[2].Name = "named"
+	want, err := src.RunAll(context.Background(), scenarios)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	backend := NewMemoryBackend()
+	r := cachedTestRunner(t, backend, &calls)
+	stored := make([]Result, len(want))
+	for i, res := range want {
+		res.Seed = 12345 // forged: Store must derive the key's seed itself
+		stored[i] = res
+	}
+	partial := r.BaseConfig()
+	partial.Lambda = 0
+	invalid := r.BaseConfig()
+	invalid.Mu = -1
+	invalid.PDT = 0.75
+	bad := []Result{
+		{Scenario: scenarios[0], Estimates: want[0].Estimates[:1]},                  // too few estimates
+		{Scenario: scenarios[1], Estimates: []*Estimate{want[1].Estimates[0], nil}}, // a nil estimate
+		{Scenario: Scenario{Config: partial}, Estimates: want[0].Estimates},
+		{Scenario: Scenario{Config: invalid}, Estimates: want[0].Estimates},
+		{Scenario: scenarios[2], Err: errors.New("failed"), Estimates: nil},
+	}
+	r.Store(bad)
+	if st, _ := backend.Stats(); st.Entries != 0 {
+		t.Fatalf("Store kept %d entries of bad results", st.Entries)
+	}
+	r.Store(stored)
+	if st, _ := backend.Stats(); st.Entries != len(want)*2 {
+		t.Fatalf("Store kept %d entries, want %d", st.Entries, len(want)*2)
+	}
+
+	ran := calls.Load()
+	got := r.Cached(scenarios)
+	if calls.Load() != ran {
+		t.Fatalf("Cached ran the estimator %d times", calls.Load()-ran)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("Cached answered %d of %d stored scenarios", len(got), len(want))
+	}
+	for i, res := range got {
+		ref := want[i]
+		if res.Index != i || res.Scenario != ref.Scenario || res.Seed != ref.Seed {
+			t.Fatalf("result %d = %+v, want %+v", i, res, ref)
+		}
+		for j := range res.Estimates {
+			if *res.Estimates[j] != *ref.Estimates[j] {
+				t.Fatalf("result %d estimator %d: stored %+v, RunAll %+v", i, j, *res.Estimates[j], *ref.Estimates[j])
+			}
+		}
+	}
+
+	offBackend := NewMemoryBackend()
+	cachedTestRunner(t, offBackend, &calls, WithCache(false)).Store(want)
+	if st, _ := offBackend.Stats(); st.Entries != 0 {
+		t.Fatalf("Store with caching off kept %d entries", st.Entries)
 	}
 }

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/core"
 )
@@ -46,6 +47,22 @@ type ResultItem struct {
 	// Estimates holds one result per estimator, in the spec's method
 	// order.
 	Estimates []core.Estimate `json:"estimates"`
+}
+
+// Result converts the item back to the core.Result a Runner produced,
+// with its own copy of the estimates.
+func (it ResultItem) Result() core.Result {
+	vals := slices.Clone(it.Estimates)
+	ests := make([]*core.Estimate, len(vals))
+	for j := range vals {
+		ests[j] = &vals[j]
+	}
+	return core.Result{
+		Index:     it.Index,
+		Scenario:  core.Scenario{Name: it.Name, Config: it.Config},
+		Seed:      it.Seed,
+		Estimates: ests,
+	}
 }
 
 // ResultSet is the JSON document one worker reports after finishing its
@@ -142,17 +159,7 @@ func Merge(m *Manifest, sets []*ResultSet) ([]core.Result, error) {
 	// just verified, so plain map iteration order suffices.
 	out := make([]core.Result, total)
 	for i, item := range byIndex {
-		ests := make([]*core.Estimate, len(item.Estimates))
-		for j := range item.Estimates {
-			e := item.Estimates[j]
-			ests[j] = &e
-		}
-		out[i] = core.Result{
-			Index:     i,
-			Scenario:  core.Scenario{Name: item.Name, Config: item.Config},
-			Seed:      item.Seed,
-			Estimates: ests,
-		}
+		out[i] = item.Result()
 	}
 	return out, nil
 }

@@ -36,9 +36,6 @@ func NewClient(base string, httpClient *http.Client) (*Client, error) {
 	return &Client{base: strings.TrimRight(base, "/"), http: httpClient}, nil
 }
 
-// Base returns the coordinator's base URL.
-func (c *Client) Base() string { return c.base }
-
 // call POSTs (or GETs, body nil) one protocol message and decodes the
 // response into out (when non-nil). Non-2xx answers decode the protocol
 // error body; 404/409 on lease endpoints surface as ErrLeaseGone.

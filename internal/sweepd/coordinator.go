@@ -81,6 +81,9 @@ type sweep struct {
 	covered  map[int]bool
 	merged   []core.Result // set when state == StateDone
 	counters sweepCounters
+	// snapshot is the framed snapshot record of a done sweep, encoded by
+	// the first compaction after it finished and copied by later ones.
+	snapshot []byte
 }
 
 // accept folds an accepted result set, journaled under ref ("" without a
@@ -184,8 +187,9 @@ func Open(opts Options) (*Coordinator, error) {
 }
 
 // Cache returns the coordinator's result cache (the resident LRU, in front
-// of Options.Cache when one is set), which the remote cache endpoint
-// serves and Submit resolves against.
+// of Options.Cache when one is set): Results stores accepted estimates in
+// it, Submit resolves against it, and the cache stats endpoint reports
+// it.
 func (c *Coordinator) Cache() core.CacheBackend { return c.cache }
 
 // Ready reports whether the coordinator has finished journal replay (a
@@ -390,7 +394,6 @@ func (c *Coordinator) leaseResponseLocked(sw *sweep, l *lease) LeaseResponse {
 		Runner:     &runner,
 		Shard:      &sh,
 		TTLSeconds: c.opts.LeaseTTL.Seconds(),
-		CachePath:  CachePath,
 	}
 }
 
@@ -451,7 +454,10 @@ func (c *Coordinator) Heartbeat(leaseID string) error {
 // persisted and journaled by reference, folded into the sweep, the
 // worker's cost table merges into the planning model, and any scenarios
 // of the partition the submission did not cover are re-planned into a
-// recovery partition.
+// recovery partition. Once accepted, the set's estimates are stored in
+// the coordinator's result cache — the coordinator is the cache's only
+// writer — so a resubmission resolves them at submit. A rejected
+// submission stores nothing.
 func (c *Coordinator) Results(leaseID string, sub ResultSubmission) error {
 	if sub.Version != ProtocolVersion {
 		return fmt.Errorf("sweepd: results version %d, want %d", sub.Version, ProtocolVersion)
@@ -459,13 +465,32 @@ func (c *Coordinator) Results(leaseID string, sub ResultSubmission) error {
 	if sub.Results == nil {
 		return errors.New("sweepd: submission carries no result set")
 	}
+	spec, err := c.acceptResults(leaseID, sub)
+	if err != nil {
+		return err
+	}
+	// The Puts run outside c.mu: behind a file store each one is a file
+	// write, and leases and status must not wait for them.
+	if runner, err := spec.NewRunner(core.WithCacheBackend(c.cache)); err == nil {
+		results := make([]core.Result, len(sub.Results.Results))
+		for i, item := range sub.Results.Results {
+			results[i] = item.Result()
+		}
+		runner.Store(results)
+	}
+	return nil
+}
+
+// acceptResults is Results' transition under c.mu. It returns the spec of
+// the sweep the lease belonged to.
+func (c *Coordinator) acceptResults(leaseID string, sub ResultSubmission) (shard.RunnerSpec, error) {
 	now := c.opts.Clock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked(now)
 	l, ok := c.leases[leaseID]
 	if !ok {
-		return fmt.Errorf("sweepd: lease %s not found (expired or completed)", leaseID)
+		return shard.RunnerSpec{}, fmt.Errorf("sweepd: lease %s not found (expired or completed)", leaseID)
 	}
 	sw := c.sweeps[l.sweepID]
 
@@ -477,13 +502,13 @@ func (c *Coordinator) Results(leaseID string, sub ResultSubmission) error {
 	if c.journal != nil {
 		var err error
 		if ref, err = c.journal.WriteResults(sw.id, sub.Results); err != nil {
-			return err
+			return shard.RunnerSpec{}, err
 		}
 		if err := c.journal.Append(
 			record{Kind: recRelease, Sweep: sw.id, Lease: leaseID, Reason: releaseResults},
 			record{Kind: recAccept, Sweep: sw.id, Lease: leaseID, Ref: ref},
 		); err != nil {
-			return err
+			return shard.RunnerSpec{}, err
 		}
 	}
 	delete(c.leases, leaseID)
@@ -501,13 +526,13 @@ func (c *Coordinator) Results(leaseID string, sub ResultSubmission) error {
 	}
 	if len(gap) > 0 {
 		if err := c.requeueGapLocked(sw, l.part, gap); err != nil {
-			return err
+			return shard.RunnerSpec{}, err
 		}
 	}
 	c.logf("lease %s: sweep %s shard %d done (%d results, %d missing)",
 		leaseID, sw.id, l.part.shard.Index, len(sub.Results.Results), len(gap))
 	c.maybeFinishLocked(sw)
-	return nil
+	return sw.manifest.Runner, nil
 }
 
 // Fail reports a lease the worker could not run; the partition requeues

@@ -156,12 +156,12 @@ func (j *Journal) Close() error {
 	return err
 }
 
-// frames renders records as consecutive lines, ready for one write. A
-// line is 8 hex CRC32(payload) + space + payload + newline. encoding/json
-// escapes raw newlines, so the newline terminates exactly one record and a
-// torn write is detectable as a CRC mismatch or a missing terminator.
-func frames(recs []record) ([]byte, error) {
-	var buf []byte
+// appendFrames appends records to buf as consecutive lines, ready for one
+// write. A line is 8 hex CRC32(payload) + space + payload + newline.
+// encoding/json escapes raw newlines, so the newline terminates exactly
+// one record and a torn write is detectable as a CRC mismatch or a missing
+// terminator.
+func appendFrames(buf []byte, recs ...record) ([]byte, error) {
 	for _, rec := range recs {
 		rec.V = journalVersion
 		payload, err := json.Marshal(rec)
@@ -207,7 +207,7 @@ func parseFrame(line []byte) (record, bool) {
 // replays safely (a release before the accept it enables: losing the
 // accept re-plans the lease's scenarios instead of counting them twice).
 func (j *Journal) Append(recs ...record) error {
-	buf, err := frames(recs)
+	buf, err := appendFrames(nil, recs...)
 	if err != nil {
 		return err
 	}
@@ -265,50 +265,25 @@ func (j *Journal) Load() ([]record, error) {
 	return recs, nil
 }
 
-// Compact atomically replaces the journal's contents with the given
+// Compact atomically replaces the journal's contents with buf, framed
 // records (per-sweep snapshots plus still-outstanding leases): write to a
 // temp file, fsync, rename over the WAL, reopen for appending. Called after
 // recovery and, once compactionDue, when a sweep completes, so the
 // journal's size tracks the sweep set instead of growing with history.
-func (j *Journal) Compact(recs []record) error {
-	buf, err := frames(recs)
-	if err != nil {
-		return err
-	}
-	tmp := j.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("sweepd: creating compaction file: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("sweepd: writing compaction file: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("sweepd: syncing compaction file: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("sweepd: closing compaction file: %w", err)
-	}
-	if err := os.Rename(tmp, j.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("sweepd: committing compaction: %w", err)
+func (j *Journal) Compact(buf []byte) error {
+	if err := writeAtomic(j.path, buf); err != nil {
+		return fmt.Errorf("sweepd: compacting journal: %w", err)
 	}
 	// The old fd still points at the unlinked pre-compaction inode; reopen
 	// so appends land in the compacted file.
-	old := j.f
-	f, err = os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(j.path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return fmt.Errorf("sweepd: reopening compacted journal: %w", err)
 	}
+	_ = j.f.Close()
 	j.f = f
-	_ = old.Close()
 	j.compacted, j.appended = len(buf), 0
-	return syncDir(j.dir)
+	return nil
 }
 
 // WriteResults durably persists an accepted result set under results/ and
@@ -318,40 +293,41 @@ func (j *Journal) Compact(recs []record) error {
 // complete file, across a power loss too.
 func (j *Journal) WriteResults(sweepID string, rs *shard.ResultSet) (string, error) {
 	name := fmt.Sprintf("%s-%06d.json", sweepID, j.seq.Add(1))
-	path := filepath.Join(j.dir, resultsDir, name)
 	data, err := json.Marshal(rs)
 	if err != nil {
 		return "", fmt.Errorf("sweepd: encoding result set: %w", err)
 	}
+	if err := writeAtomic(filepath.Join(j.dir, resultsDir, name), data); err != nil {
+		return "", fmt.Errorf("sweepd: writing result set: %w", err)
+	}
+	return filepath.Join(resultsDir, name), nil
+}
+
+// writeAtomic durably replaces path with data: it writes a temp file,
+// fsyncs it, renames it over path and fsyncs the directory, so a crash
+// leaves the old file or the whole new one, and a rename the caller goes
+// on to journal cannot be lost to a power failure.
+func writeAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
 	if err != nil {
-		return "", fmt.Errorf("sweepd: creating result file: %w", err)
+		return err
 	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return "", fmt.Errorf("sweepd: writing result file: %w", err)
+		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return "", fmt.Errorf("sweepd: syncing result file: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("sweepd: closing result file: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return "", fmt.Errorf("sweepd: committing result file: %w", err)
-	}
-	// Without the directory fsync a power loss could lose the rename after
-	// the journal already references the file.
-	if err := syncDir(filepath.Dir(path)); err != nil {
-		return "", fmt.Errorf("sweepd: syncing results directory: %w", err)
-	}
-	return filepath.Join(resultsDir, name), nil
+	return syncDir(filepath.Dir(path))
 }
 
 // ReadResults loads a referenced result set. The reference is confined to

@@ -1,10 +1,13 @@
 package sweepd
 
 import (
+	"bytes"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -412,7 +415,11 @@ func TestJournalCompactAndResults(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Compact([]record{{V: journalVersion, Kind: recSnapshot, Sweep: "s1", State: StateDone}}); err != nil {
+	snapshot, err := appendFrames(nil, record{Kind: recSnapshot, Sweep: "s1", State: StateDone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Compact(snapshot); err != nil {
 		t.Fatal(err)
 	}
 	// Post-compaction appends must land in the compacted file, not the
@@ -472,5 +479,81 @@ func TestOpenBadStateDir(t *testing.T) {
 	}
 	if _, err := Open(Options{StateDir: occupied}); err == nil {
 		t.Fatal("Open succeeded with a file squatting on the state dir")
+	}
+}
+
+// TestCompactionCopiesDoneSnapshots: a compaction keeps each done sweep's
+// framed snapshot and later compactions copy it, and the file they write
+// is byte-identical to encoding every snapshot and lease afresh. A replay
+// of that file restores the same service state.
+func TestCompactionCopiesDoneSnapshots(t *testing.T) {
+	dir := t.TempDir()
+	clock := newFakeClock()
+	c := openTestCoordinator(t, dir, clock)
+	spec := testSpec()
+	scenarios := testScenarios(spec, 4)
+
+	// s1 finishes through leases, s2 at submit from what s1 stored, and
+	// s3 (another seed, so nothing is cached) keeps a lease out.
+	s1 := submitAll(t, c, spec, scenarios)
+	for st, _ := c.SweepStatus(s1); st.State == StateRunning; st, _ = c.SweepStatus(s1) {
+		l := leaseWork(t, c, "w")
+		if err := c.Results(l.LeaseID, ResultSubmission{Version: ProtocolVersion, Results: fakeResults(l.Shard.Index, l.Shard.Items)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submitAll(t, c, spec, scenarios)
+	other := spec
+	other.Seed++
+	submitAll(t, c, other, scenarios)
+	leaseWork(t, c, "w")
+
+	c.mu.Lock()
+	c.compactLocked(true)
+	var done int
+	for _, id := range c.order {
+		sw := c.sweeps[id]
+		if sw.state == StateDone {
+			done++
+		}
+		if (sw.state == StateDone) != (sw.snapshot != nil) {
+			t.Fatalf("sweep %s (%s): kept snapshot = %v", id, sw.state, sw.snapshot != nil)
+		}
+	}
+	if done != 2 {
+		t.Fatalf("%d sweeps done, want s1 and s2", done)
+	}
+	c.compactLocked(true)
+	got, err := os.ReadFile(filepath.Join(dir, journalFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var recs []record
+	for _, id := range c.order {
+		recs = append(recs, snapshotRecord(c.sweeps[id]))
+	}
+	ids := slices.Sorted(maps.Keys(c.leases))
+	for _, id := range ids {
+		l := c.leases[id]
+		recs = append(recs, record{Kind: recLease, Sweep: l.sweepID, Lease: id, Worker: l.worker, ShardIndex: l.part.shard.Index})
+	}
+	want, err := appendFrames(nil, recs...)
+	c.mu.Unlock()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ids) != 1 || !bytes.Equal(got, want) {
+		t.Fatalf("compacted journal (%d leases) differs from the re-encoded one:\n%s\n---\n%s", len(ids), got, want)
+	}
+
+	before := c.Status()
+	replayed := openTestCoordinator(t, dir, clock).Status()
+	if len(replayed.Sweeps) != len(before.Sweeps) {
+		t.Fatalf("replay restored %d sweeps, want %d", len(replayed.Sweeps), len(before.Sweeps))
+	}
+	for i, st := range replayed.Sweeps {
+		if st.ID != before.Sweeps[i].ID || st.State != before.Sweeps[i].State || st.Completed != before.Sweeps[i].Completed {
+			t.Fatalf("replayed sweep %d = %+v, want %+v", i, st, before.Sweeps[i])
+		}
 	}
 }

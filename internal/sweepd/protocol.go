@@ -11,11 +11,14 @@
 // result set that covers only part of its partition has the remainder
 // re-planned from the merge gap (shard.Replan) — and because every
 // scenario's seed is derived from its configuration content, the recovered
-// sweep is byte-identical to an uninterrupted single-process run. The
-// coordinator also hosts a remote result cache (core.CacheHandler), so a
-// fleet without a shared filesystem still simulates each grid point once,
-// and answers a submitted sweep's fully cached scenarios from it directly:
-// only the misses are leased.
+// sweep is byte-identical to an uninterrupted single-process run.
+//
+// The coordinator keeps the fleet's one result cache and is its only
+// writer: it stores the estimates of every result set it accepts, and
+// answers a submitted sweep's fully cached scenarios from that cache at
+// submit, so only the misses are leased. Workers exchange no cache
+// traffic; each lease runs on its own memory cache (or a local file cache
+// the worker is given).
 package sweepd
 
 import (
@@ -29,8 +32,8 @@ import (
 // both sides reject foreign versions rather than mis-decode them.
 const ProtocolVersion = 1
 
-// CachePath is the coordinator's remote result-cache mount point; workers
-// join it to the coordinator base URL.
+// CachePath roots the coordinator's result-cache endpoints; GET
+// CachePath+"/stats" answers the cache's core.CacheStats.
 const CachePath = "/v1/cache"
 
 // HealthPath answers 200 whenever the process serves HTTP; ReadyPath
@@ -153,9 +156,6 @@ type LeaseResponse struct {
 	Shard   *shard.Shard      `json:"shard,omitempty"`
 	// TTLSeconds is the lease's heartbeat deadline window.
 	TTLSeconds float64 `json:"ttl_seconds,omitempty"`
-	// CachePath is the coordinator-relative mount of the shared result
-	// cache ("" when the coordinator hosts none).
-	CachePath string `json:"cache_path,omitempty"`
 }
 
 // ResultSubmission is a worker's report for one lease: the partition's

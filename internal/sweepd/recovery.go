@@ -1,7 +1,9 @@
 package sweepd
 
 import (
-	"sort"
+	"bytes"
+	"maps"
+	"slices"
 
 	"repro/internal/shard"
 )
@@ -206,39 +208,59 @@ func (c *Coordinator) loadResultsLocked(sw *sweep, ref string, haveRef map[strin
 // submission order, carrying manifest, state, counters, and result
 // references) plus one lease record per still-active lease — the minimal
 // prefix a future Recover needs. Recovery forces it; a completing sweep
-// runs it only when the journal says a compaction is due. A compaction
-// error leaves the previous journal intact.
+// runs it only when the journal says a compaction is due. A done sweep
+// never changes again, so its framed snapshot is encoded once and copied
+// by every later compaction. A compaction error leaves the previous
+// journal intact.
 func (c *Coordinator) compactLocked(force bool) {
 	if c.journal == nil || !(force || c.journal.compactionDue()) {
 		return
 	}
-	recs := make([]record, 0, len(c.order)+len(c.leases))
+	buf, err := c.compactionLocked()
+	if err == nil {
+		err = c.journal.Compact(buf)
+	}
+	if err != nil {
+		c.logf("journal: compaction failed: %v", err)
+	}
+}
+
+// compactionLocked renders the compacted journal: compactLocked's records,
+// framed, with done sweeps' snapshots copied from their first encoding.
+func (c *Coordinator) compactionLocked() ([]byte, error) {
+	buf := make([]byte, 0, c.journal.compacted+c.journal.appended)
+	var err error
 	for _, id := range c.order {
 		sw := c.sweeps[id]
-		ctrs := sw.counters
-		recs = append(recs, record{
-			Kind:     recSnapshot,
-			Sweep:    sw.id,
-			Manifest: sw.manifest,
-			State:    sw.state,
-			Error:    sw.errMsg,
-			Refs:     append([]string(nil), sw.refs...),
-			Counters: &ctrs,
-		})
+		if sw.snapshot != nil {
+			buf = append(buf, sw.snapshot...)
+			continue
+		}
+		start := len(buf)
+		if buf, err = appendFrames(buf, snapshotRecord(sw)); err != nil {
+			return nil, err
+		}
+		if sw.state == StateDone {
+			sw.snapshot = bytes.Clone(buf[start:])
+		}
 	}
-	ids := make([]string, 0, len(c.leases))
-	for id := range c.leases {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
+	leases := make([]record, 0, len(c.leases))
+	for _, id := range slices.Sorted(maps.Keys(c.leases)) {
 		l := c.leases[id]
-		recs = append(recs, record{
-			Kind: recLease, Sweep: l.sweepID, Lease: id, Worker: l.worker,
-			ShardIndex: l.part.shard.Index,
-		})
+		leases = append(leases, record{Kind: recLease, Sweep: l.sweepID, Lease: id, Worker: l.worker, ShardIndex: l.part.shard.Index})
 	}
-	if err := c.journal.Compact(recs); err != nil {
-		c.logf("journal: compaction failed: %v", err)
+	return appendFrames(buf, leases...)
+}
+
+// snapshotRecord is a sweep's compaction summary.
+func snapshotRecord(sw *sweep) record {
+	return record{
+		Kind:     recSnapshot,
+		Sweep:    sw.id,
+		Manifest: sw.manifest,
+		State:    sw.state,
+		Error:    sw.errMsg,
+		Refs:     sw.refs,
+		Counters: &sw.counters,
 	}
 }

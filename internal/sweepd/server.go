@@ -6,8 +6,6 @@ import (
 	"io"
 	"net/http"
 	"strings"
-
-	"repro/internal/core"
 )
 
 // maxBodyBytes bounds request bodies; a table-5-scale sweep manifest is a
@@ -27,7 +25,7 @@ const maxBodyBytes = 16 << 20
 //	GET  /v1/status              whole-service status
 //	GET  /v1/healthz             process liveness (always 200)
 //	GET  /v1/readyz              200 once journal replay finished, else 503
-//	*    /v1/cache/...           remote result cache (core.CacheHandler)
+//	GET  /v1/cache/stats         the coordinator's result-cache counters
 func Handler(c *Coordinator) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST /v1/sweeps", func(w http.ResponseWriter, r *http.Request) {
@@ -120,7 +118,14 @@ func Handler(c *Coordinator) http.Handler {
 		}
 		writeJSON(w, http.StatusOK, map[string]bool{"ready": true})
 	})
-	mux.Handle(CachePath+"/", http.StripPrefix(CachePath, core.CacheHandler(c.Cache())))
+	mux.HandleFunc("GET "+CachePath+"/stats", func(w http.ResponseWriter, r *http.Request) {
+		st, err := c.Cache().Stats()
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, st)
+	})
 	return mux
 }
 

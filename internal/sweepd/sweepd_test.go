@@ -127,7 +127,7 @@ func TestLeaseLifecycle(t *testing.T) {
 	if err != nil || l1.Status != LeaseWork {
 		t.Fatalf("first lease = (%+v, %v)", l1, err)
 	}
-	if l1.TTLSeconds != 10 || l1.CachePath != CachePath {
+	if l1.TTLSeconds != 10 {
 		t.Fatalf("lease terms: %+v", l1)
 	}
 	// Heartbeats keep a slow worker alive across several TTL windows.
@@ -305,7 +305,13 @@ func TestCostWeightedPlanning(t *testing.T) {
 	}
 
 	// The next sweep's first partition should hold the heavy scenario
-	// alone: its predicted cost dwarfs the two light ones combined.
+	// alone: its predicted cost dwarfs the two light ones combined. The
+	// coordinator stored the priming sweep's results, so its cache is
+	// emptied first, or the resubmission would resolve at submit and
+	// lease nothing.
+	if err := c.Cache().Reset(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := c.Submit(SubmitRequest{Version: ProtocolVersion, Manifest: m}); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +325,7 @@ func TestCostWeightedPlanning(t *testing.T) {
 }
 
 // TestServiceEndToEnd runs the full stack in-process: HTTP server, two
-// Work loops, remote result cache — and checks the sweep's merged output
+// Work loops, the coordinator's result cache — and checks the sweep's merged output
 // is byte-identical to a single-process run.
 func TestServiceEndToEnd(t *testing.T) {
 	coord := NewCoordinator(Options{LeaseTTL: 30 * time.Second, DefaultPartitions: 3})
@@ -420,13 +426,13 @@ func TestServiceEndToEnd(t *testing.T) {
 		}
 	}
 
-	// Workers trained the coordinator's cost model and populated the
-	// shared cache on their way through.
+	// Workers trained the coordinator's cost model, and the coordinator
+	// stored the results it accepted.
 	if len(coord.CostTable()) == 0 {
 		t.Fatal("no worker cost reports reached the coordinator")
 	}
 	if stats, err := coord.Cache().Stats(); err != nil || stats.Entries == 0 {
-		t.Fatalf("remote cache stayed empty: (%+v, %v)", stats, err)
+		t.Fatalf("coordinator cache stayed empty: (%+v, %v)", stats, err)
 	}
 }
 
@@ -599,7 +605,7 @@ func TestRunLeasePaths(t *testing.T) {
 	// gone and drops the results quietly.
 	stale := lease
 	stale.LeaseID = "l999"
-	runLease(context.Background(), client, WorkerOptions{DisableRemoteCache: true}, stale, logf)
+	runLease(context.Background(), client, WorkerOptions{}, stale, logf)
 
 	// An unusable cache directory (a file in the way) fails the lease.
 	bad := lease

@@ -70,12 +70,9 @@ type WorkerOptions struct {
 	// MaxIdlePolls exits the worker after this many consecutive LeaseWait
 	// answers (0 = poll until LeaseBye or context cancellation).
 	MaxIdlePolls int
-	// DisableRemoteCache keeps the worker off the coordinator's shared
-	// result cache; each lease then computes everything itself (local
-	// in-memory memoization still applies within the Runner).
-	DisableRemoteCache bool
-	// CacheDir, when set, uses a local file-backed result cache instead of
-	// the coordinator's remote one (a fleet on one machine can share it).
+	// CacheDir, when set, memoizes every lease through a file-backed
+	// result cache in this directory (a fleet on one machine can share
+	// it). Unset, each lease runs on a fresh in-memory cache of its own.
 	CacheDir string
 	// Drain, when non-nil and closed, asks the worker to exit gracefully:
 	// the current lease runs to completion (or clean failure) and no new
@@ -164,24 +161,19 @@ func runLease(ctx context.Context, client *Client, opts WorkerOptions, resp Leas
 	logf("lease %s: sweep %s shard %d (%d scenarios)",
 		resp.LeaseID, resp.SweepID, resp.Shard.Index, len(resp.Shard.Items))
 
-	extra := []core.RunnerOption{core.WithParallelism(opts.Parallelism)}
-	switch {
-	case opts.CacheDir != "":
-		backend, err := core.NewFileBackend(opts.CacheDir)
+	// Never the process-wide default cache: a worker process that has
+	// already run a scenario would answer it from memory, and a "cold"
+	// sweep would not be cold. The coordinator stores what it accepts.
+	var backend core.CacheBackend = core.NewMemoryBackend()
+	if opts.CacheDir != "" {
+		fb, err := core.NewFileBackend(opts.CacheDir)
 		if err != nil {
 			_ = client.Fail(resp.LeaseID, err.Error())
 			return
 		}
-		extra = append(extra, core.WithCacheBackend(backend))
-	case !opts.DisableRemoteCache && resp.CachePath != "":
-		backend, err := core.NewHTTPBackend(client.Base()+resp.CachePath, opts.Client)
-		if err != nil {
-			_ = client.Fail(resp.LeaseID, err.Error())
-			return
-		}
-		extra = append(extra, core.WithCacheBackend(backend))
+		backend = fb
 	}
-	runner, err := resp.Runner.NewRunner(extra...)
+	runner, err := resp.Runner.NewRunner(core.WithParallelism(opts.Parallelism), core.WithCacheBackend(backend))
 	if err != nil {
 		_ = client.Fail(resp.LeaseID, err.Error())
 		return

@@ -3,7 +3,7 @@
 // worker is SIGKILLed while it provably holds a lease. The merged output
 // must still be byte-identical to a single-process run, the lease expiry
 // and requeue counters must show the recovery actually happened, and a
-// repeat sweep must be served from the coordinator-hosted result cache.
+// repeat sweep must be served from the coordinator's result cache.
 package repro_test
 
 import (
@@ -107,7 +107,8 @@ func holdsLease(st sweepd.CoordinatorStatus, worker string) bool {
 //  4. the rendered table must be byte-identical to the single-process run,
 //     and the coordinator must report the expiry and requeue;
 //  5. a Figure 5 sweep then runs twice on the surviving fleet; the repeat
-//     must be served from the coordinator-hosted remote result cache.
+//     must be served from the coordinator's result cache, which stored
+//     the first run's accepted results.
 func TestSweepServiceFaultInjection(t *testing.T) {
 	bin := wsnenergyBinary(t)
 	singleTable4 := runBinary(t, bin, append([]string{"-experiment", "table4", "-format", "csv"}, reducedFlags...)...)
@@ -137,17 +138,23 @@ func TestSweepServiceFaultInjection(t *testing.T) {
 	sweepDone := make(chan error, 1)
 	go func() { sweepDone <- sweepCmd.Wait() }()
 
-	// Freeze the victim, check it holds a lease, and only then kill it.
-	// SIGSTOP makes the check race-free once any upload already sent has
-	// landed: a frozen worker cannot submit results between the status
-	// read and the SIGKILL.
+	// Watch the running victim until it holds a lease, then freeze it,
+	// check it still holds one, and only then kill it. SIGSTOP makes the
+	// check race-free once any upload already sent has landed: a frozen
+	// worker cannot submit results between the status read and the
+	// SIGKILL. The watch polls about once a millisecond, because a lease
+	// of this reduced sweep lasts only tens of milliseconds.
 	pid := victim.Process.Pid
 	killed := false
-	for i := 0; i < 500 && !killed; i++ {
+	for deadline := time.Now().Add(time.Minute); !killed && time.Now().Before(deadline); {
 		select {
 		case err := <-sweepDone:
 			t.Fatalf("sweep finished before the victim could be killed mid-lease (err=%v)", err)
 		default:
+		}
+		if st, err := client.Status(); err != nil || !holdsLease(st, "victim") {
+			time.Sleep(time.Millisecond)
+			continue
 		}
 		if err := syscall.Kill(pid, syscall.SIGSTOP); err != nil {
 			t.Fatalf("SIGSTOP: %v", err)
@@ -170,7 +177,6 @@ func TestSweepServiceFaultInjection(t *testing.T) {
 		if err := syscall.Kill(pid, syscall.SIGCONT); err != nil {
 			t.Fatalf("SIGCONT: %v", err)
 		}
-		time.Sleep(20 * time.Millisecond)
 	}
 	if !killed {
 		t.Fatal("never caught the victim holding a lease")
@@ -201,7 +207,7 @@ func TestSweepServiceFaultInjection(t *testing.T) {
 		st.ExpiredLeases, st.Requeues, st.Replans)
 
 	// Figure 5 on the surviving fleet, twice: identical bytes both times,
-	// and the repeat must hit the coordinator's remote result cache.
+	// and the repeat must hit the coordinator's result cache.
 	first := runBinary(t, bin, sweepArgs("fig5")...)
 	if first != singleFig5 {
 		t.Fatalf("service Figure 5 differs from single-process run:\n--- single ---\n%s\n--- service ---\n%s", singleFig5, first)
@@ -212,7 +218,7 @@ func TestSweepServiceFaultInjection(t *testing.T) {
 		t.Fatalf("repeat Figure 5 differs:\n--- single ---\n%s\n--- service ---\n%s", singleFig5, again)
 	}
 	if hitsAfter := cacheHits(t, url); hitsAfter <= hitsBefore {
-		t.Fatalf("repeat sweep did not hit the remote cache (hits %d -> %d)", hitsBefore, hitsAfter)
+		t.Fatalf("repeat sweep did not hit the coordinator cache (hits %d -> %d)", hitsBefore, hitsAfter)
 	}
 }
 
