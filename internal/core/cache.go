@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
@@ -37,14 +36,15 @@ import (
 
 // CacheKeyVersion is the schema version of the canonical key encoding.
 // Bump it whenever the wire shape of CacheKey (including Config's field
-// set) changes: decoders reject foreign versions, so stale entries written
-// by an older binary read as misses instead of silently aliasing new keys.
+// set) changes: stores compare a stored key's encoding with the requested
+// one, so stale entries written by an older binary read as misses instead
+// of silently aliasing new keys.
 //
 // The wire form additionally stamps xrand.StreamVersion (the simulators'
 // draw law) into every key: an engine change that redraws the same seeds
 // differently — like the version-3 ziggurat exponential — invalidates all
 // cached simulation results without a schema bump, because both the hash
-// (file backends store under it) and the decode check cover the stamp.
+// (file backends store under it) and the stored key bytes cover the stamp.
 const CacheKeyVersion = 1
 
 // CacheKey identifies one memoized estimator result: the effective model
@@ -90,27 +90,6 @@ func (k CacheKey) Encode() ([]byte, error) {
 		return nil, fmt.Errorf("core: encoding cache key: %w", err)
 	}
 	return b, nil
-}
-
-// DecodeCacheKey parses a canonical key encoding. Keys written under a
-// different CacheKeyVersion — or carrying fields this version does not
-// know, i.e. written by a newer schema — are rejected.
-func DecodeCacheKey(data []byte) (CacheKey, error) {
-	var w cacheKeyWire
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&w); err != nil {
-		return CacheKey{}, fmt.Errorf("core: decoding cache key: %w", err)
-	}
-	if w.Version != CacheKeyVersion {
-		return CacheKey{}, fmt.Errorf("core: cache key version %d, want %d", w.Version, CacheKeyVersion)
-	}
-	if w.DrawLaw != xrand.StreamVersion {
-		// Entries computed under another sampling law (a missing field
-		// decodes as 0) describe different trajectories for the same seeds.
-		return CacheKey{}, fmt.Errorf("core: cache key draw-law version %d, want %d", w.DrawLaw, xrand.StreamVersion)
-	}
-	return CacheKey{Config: w.Config, Method: w.Method, Estimator: w.Estimator}, nil
 }
 
 // Hash returns the hex SHA-256 digest of the canonical encoding — the

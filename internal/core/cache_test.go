@@ -4,7 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"math/rand"
+	"os"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -12,88 +12,6 @@ import (
 	"repro/internal/energy"
 	"repro/internal/xrand"
 )
-
-// randomConfig draws an arbitrary (not necessarily valid) configuration:
-// the key encoding must round-trip any representable config, not just ones
-// that pass Validate.
-func randomConfig(rng *rand.Rand) Config {
-	f := func() float64 {
-		switch rng.Intn(5) {
-		case 0:
-			return 0
-		case 1:
-			return -0.0 // sign must survive the round trip
-		case 2:
-			return rng.Float64() * 1e6
-		case 3:
-			return math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1000))
-		default:
-			// Full-precision mantissas: shortest-representation JSON
-			// encoding must restore these bit for bit.
-			return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(40)-20))
-		}
-	}
-	cfg := Config{
-		Lambda:       f(),
-		Mu:           f(),
-		PDT:          f(),
-		PUD:          f(),
-		SimTime:      f(),
-		Warmup:       f(),
-		Replications: rng.Intn(100),
-		Seed:         rng.Uint64(),
-	}
-	cfg.Power.Name = fmt.Sprintf("cpu-%d", rng.Intn(10))
-	for i := range cfg.Power.MW {
-		cfg.Power.MW[i] = f()
-	}
-	return cfg
-}
-
-// TestCacheKeyRoundTripProperty: encode→decode restores the key exactly
-// for 500 random configurations, and equal keys share canonical bytes and
-// hashes.
-func TestCacheKeyRoundTripProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(20080901))
-	for i := 0; i < 500; i++ {
-		key := CacheKey{
-			Config:    randomConfig(rng),
-			Method:    fmt.Sprintf("method-%d", rng.Intn(5)),
-			Estimator: "repro/internal/core.Simulation",
-		}
-		data, err := key.Encode()
-		if err != nil {
-			t.Fatalf("iteration %d: encode: %v", i, err)
-		}
-		got, err := DecodeCacheKey(data)
-		if err != nil {
-			t.Fatalf("iteration %d: decode: %v", i, err)
-		}
-		if got != key {
-			t.Fatalf("iteration %d: round trip changed the key\n in: %+v\nout: %+v", i, key, got)
-		}
-		// Canonical: re-encoding the decoded key yields identical bytes,
-		// so the hash is stable across processes.
-		data2, err := got.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(data) != string(data2) {
-			t.Fatalf("iteration %d: encoding not canonical:\n%s\n%s", i, data, data2)
-		}
-		h1, err := key.Hash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		h2, err := got.Hash()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if h1 != h2 || len(h1) != 64 {
-			t.Fatalf("iteration %d: hash unstable or malformed: %q vs %q", i, h1, h2)
-		}
-	}
-}
 
 // TestCacheKeyDistinguishes: any change to config, method or estimator
 // identity must change the canonical encoding.
@@ -120,8 +38,55 @@ func TestCacheKeyDistinguishes(t *testing.T) {
 	}
 }
 
-// TestCacheKeyVersionBumpRejected: a key encoded under any other schema
-// version must not decode.
+// getWithEmbeddedKey stores an estimate under key in a fresh file
+// backend, rewrites that entry so it embeds wire as its key, and looks key
+// up again.
+func getWithEmbeddedKey(t *testing.T, key CacheKey, wire string) (bool, error) {
+	t.Helper()
+	b, err := NewFileBackend(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Put(key, Estimate{EnergyJ: 1}); err != nil {
+		t.Fatal(err)
+	}
+	_, path, err := b.encodeAndPath(key)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(fileEntry{Version: fileEntryVersion, Key: json.RawMessage(wire), Estimate: Estimate{EnergyJ: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, ok, err := b.Get(key)
+	return ok, err
+}
+
+// requireForeignKeyMisses checks that an entry embedding wire, a mutation
+// of key's encoding, reads as a clean miss for key, while one embedding
+// key's own encoding hits.
+func requireForeignKeyMisses(t *testing.T, key CacheKey, wire string) {
+	t.Helper()
+	data, err := key.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wire == string(data) {
+		t.Fatalf("test setup: %s is the key's own encoding", wire)
+	}
+	if ok, err := getWithEmbeddedKey(t, key, string(data)); !ok || err != nil {
+		t.Fatalf("entry with the key's own encoding: ok=%v err=%v, want a hit", ok, err)
+	}
+	if ok, err := getWithEmbeddedKey(t, key, wire); ok || err != nil {
+		t.Fatalf("entry embedding %s: ok=%v err=%v, want a clean miss", wire, ok, err)
+	}
+}
+
+// TestCacheKeyVersionBumpRejected: a file entry whose embedded key was
+// encoded under any other schema version reads as a miss.
 func TestCacheKeyVersionBumpRejected(t *testing.T) {
 	key := CacheKey{Config: PaperConfig(), Method: "Simulation", Estimator: "core.Simulation"}
 	data, err := key.Encode()
@@ -131,20 +96,16 @@ func TestCacheKeyVersionBumpRejected(t *testing.T) {
 	for _, v := range []int{0, CacheKeyVersion + 1, -1} {
 		bumped := strings.Replace(string(data),
 			fmt.Sprintf(`"v":%d`, CacheKeyVersion), fmt.Sprintf(`"v":%d`, v), 1)
-		if bumped == string(data) {
-			t.Fatalf("test setup: version marker not found in %s", data)
-		}
-		if _, err := DecodeCacheKey([]byte(bumped)); err == nil {
-			t.Fatalf("version %d decoded without error", v)
-		}
+		requireForeignKeyMisses(t, key, bumped)
 	}
 }
 
 // TestCacheKeyDrawLawChangeMisses: keys written under a different sampling
-// law — older binaries whose encodings carry no "drawlaw" stamp (pre-ziggurat
-// PR-2..6 file caches), or an explicit other version — must neither decode
-// nor share a storage hash with current keys, so stale simulation results
-// read as misses instead of silently mixing streams.
+// law — by older binaries whose encodings carry no "drawlaw" stamp (file
+// caches written before the ziggurat sampler), or under an explicit other
+// version — must neither match nor share a storage hash with current keys,
+// so stale simulation results read as misses instead of silently mixing
+// streams.
 func TestCacheKeyDrawLawChangeMisses(t *testing.T) {
 	key := CacheKey{Config: PaperConfig(), Method: "Simulation", Estimator: "core.Simulation"}
 	data, err := key.Encode()
@@ -155,20 +116,16 @@ func TestCacheKeyDrawLawChangeMisses(t *testing.T) {
 	if !strings.Contains(string(data), curMarker) {
 		t.Fatalf("encoding does not stamp the draw law: %s", data)
 	}
-	// A same-schema key under another law version must be refused.
+	// A same-schema key under another law version must miss.
 	old := strings.Replace(string(data), curMarker, `"drawlaw":2`, 1)
-	if _, err := DecodeCacheKey([]byte(old)); err == nil {
-		t.Fatal("key with draw-law 2 decoded without error")
-	}
-	// A pre-stamp encoding (exact PR-5-era wire shape, no drawlaw field)
-	// must be refused too: the missing field decodes as law 0.
+	requireForeignKeyMisses(t, key, old)
+	// A pre-stamp encoding (the wire shape before the stamp, no drawlaw field)
+	// must miss too.
 	legacy := strings.Replace(string(data), curMarker+`,`, ``, 1)
 	if strings.Contains(legacy, "drawlaw") {
 		t.Fatalf("test setup: stamp not removed from %s", legacy)
 	}
-	if _, err := DecodeCacheKey([]byte(legacy)); err == nil {
-		t.Fatal("legacy pre-draw-law key decoded without error")
-	}
+	requireForeignKeyMisses(t, key, legacy)
 	// File backends address records by the encoding's hash, so the stamped
 	// and legacy byte forms can never alias one another's files.
 	if string(data) == legacy || string(data) == old {
@@ -176,19 +133,16 @@ func TestCacheKeyDrawLawChangeMisses(t *testing.T) {
 	}
 }
 
-// TestCacheKeyUnknownFieldsRejected: a key written by a richer (future)
-// schema that forgot to bump the version must still be refused rather
-// than silently dropping the unknown field.
+// TestCacheKeyUnknownFieldsRejected: an entry whose key was written by a
+// richer (future) schema that forgot to bump the version reads as a miss
+// rather than silently dropping the unknown field.
 func TestCacheKeyUnknownFieldsRejected(t *testing.T) {
 	key := CacheKey{Config: PaperConfig(), Method: "Simulation", Estimator: "core.Simulation"}
 	data, err := key.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	withExtra := strings.Replace(string(data), `"method":`, `"voltage":1.8,"method":`, 1)
-	if _, err := DecodeCacheKey([]byte(withExtra)); err == nil {
-		t.Fatal("key with unknown field decoded without error")
-	}
+	requireForeignKeyMisses(t, key, strings.Replace(string(data), `"method":`, `"voltage":1.8,"method":`, 1))
 }
 
 // TestCacheKeyNaNUnencodable: configurations containing NaN have no

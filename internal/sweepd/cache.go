@@ -59,3 +59,34 @@ func (c *tieredCache) Stats() (core.CacheStats, error) {
 	}
 	return core.CacheStats{Entries: st.Entries, Hits: mem.Hits + c.storeHits.Load(), Evictions: mem.Evictions}, nil
 }
+
+// writeBehind is the backend Results stores accepted estimates through
+// while it holds the coordinator's lock: each Put lands in the resident
+// tier at once and is queued for the store, which flush writes once the
+// lock is released. Lookups pass through to the tiered cache.
+type writeBehind struct {
+	*tieredCache
+	queued []queuedPut
+}
+
+// queuedPut is one store write writeBehind owes.
+type queuedPut struct {
+	key core.CacheKey
+	est core.Estimate
+}
+
+// Put implements core.CacheBackend: resident now, store on flush.
+func (w *writeBehind) Put(key core.CacheKey, est core.Estimate) error {
+	_ = w.mem.Put(key, est)
+	w.queued = append(w.queued, queuedPut{key, est})
+	return nil
+}
+
+// flush writes every queued entry through to the store. A store that
+// refuses one only loses it for a restarted coordinator: the resident tier
+// already holds it.
+func (w *writeBehind) flush() {
+	for _, p := range w.queued {
+		_ = w.store.Put(p.key, p.est)
+	}
+}

@@ -33,10 +33,11 @@ type Options struct {
 	// DefaultPartitions is the lease-partition count for sweeps that do
 	// not request their own.
 	DefaultPartitions int
-	// StateDir roots the coordinator's durable state (write-ahead journal,
-	// accepted result sets, and — unless Cache overrides it — a persistent
-	// file cache). Empty runs the coordinator purely in memory. Only Open
-	// honors it; NewCoordinator ignores the field.
+	// StateDir roots the coordinator's durable state (the write-ahead
+	// journal, which carries accepted result sets, and — unless Cache
+	// overrides it — a persistent file cache). Empty runs the coordinator
+	// purely in memory. Only Open honors it; NewCoordinator ignores the
+	// field.
 	StateDir string
 	// CacheEntries bounds the coordinator's resident result cache, the LRU
 	// core.MemoryBackend every lookup tries first (MaxEntries; 0 = 65536).
@@ -77,7 +78,6 @@ type sweep struct {
 	queue    []pending
 	active   int // leases currently out for this sweep
 	sets     []*shard.ResultSet
-	refs     []string // journal references of the accepted sets
 	covered  map[int]bool
 	merged   []core.Result // set when state == StateDone
 	counters sweepCounters
@@ -86,13 +86,9 @@ type sweep struct {
 	snapshot []byte
 }
 
-// accept folds an accepted result set, journaled under ref ("" without a
-// journal), into the sweep's sets and coverage.
-func (sw *sweep) accept(rs *shard.ResultSet, ref string) {
+// accept folds an accepted result set into the sweep's sets and coverage.
+func (sw *sweep) accept(rs *shard.ResultSet) {
 	sw.sets = append(sw.sets, rs)
-	if ref != "" {
-		sw.refs = append(sw.refs, ref)
-	}
 	for _, item := range rs.Results {
 		if item.Index >= 0 && item.Index < sw.manifest.Total {
 			sw.covered[item.Index] = true
@@ -159,9 +155,9 @@ func NewCoordinator(opts Options) *Coordinator {
 }
 
 // Open builds a coordinator whose state survives restarts: a write-ahead
-// journal and accepted result sets live under opts.StateDir, and (unless
-// opts.Cache overrides it) the store behind the resident result cache
-// persists there too.
+// journal carrying the accepted result sets lives under opts.StateDir, and
+// (unless opts.Cache overrides it) the store behind the resident result
+// cache persists there too.
 // The coordinator starts not ready — call Recover to replay the journal
 // before serving leases. An empty StateDir degrades to NewCoordinator.
 func Open(opts Options) (*Coordinator, error) {
@@ -230,8 +226,8 @@ func (c *Coordinator) appendBestEffortLocked(rec record) {
 // independence makes this safe; cost weighting makes it fast).
 //
 // Scenarios the coordinator's result cache answers whole are resolved
-// here, before anything is leased: they are persisted and accepted as one
-// result set (shard.ResolvedShardIndex), and only the misses are queued,
+// here, before anything is leased: they are accepted as one result set
+// (shard.ResolvedShardIndex), and only the misses are queued,
 // re-planned into at most the requested partition count. A sweep the
 // cache answers completely is done before Submit returns, its submit,
 // accept and done records journaled in one write. Resolution is
@@ -291,16 +287,11 @@ func (c *Coordinator) Submit(req SubmitRequest) (SubmitResponse, error) {
 		if err != nil {
 			return SubmitResponse{}, err
 		}
-		var ref string
-		if c.journal != nil {
-			if ref, err = c.journal.WriteResults(id, resolved); err != nil {
-				return SubmitResponse{}, err
-			}
-		}
-		// The accept follows the submit in the same write: a tear between
-		// them replays as a sweep with nothing resolved, which re-plans all.
-		recs = append(recs, record{Kind: recAccept, Sweep: id, Ref: ref})
-		sw.accept(resolved, ref)
+		// The accept, carrying the set, follows the submit in the same
+		// write: a tear between them replays as a sweep with nothing
+		// resolved, which re-plans all.
+		recs = append(recs, record{Kind: recAccept, Sweep: id, Set: resolved})
+		sw.accept(resolved)
 		queue = nil
 		if missing := m.MissingFrom(sw.covered); len(missing) > 0 {
 			if queue, err = shard.Replan(m, missing, min(parts, len(missing))); err != nil {
@@ -451,13 +442,14 @@ func (c *Coordinator) Heartbeat(leaseID string) error {
 }
 
 // Results accepts a worker's submission for a lease: the result set is
-// persisted and journaled by reference, folded into the sweep, the
-// worker's cost table merges into the planning model, and any scenarios
-// of the partition the submission did not cover are re-planned into a
-// recovery partition. Once accepted, the set's estimates are stored in
-// the coordinator's result cache — the coordinator is the cache's only
-// writer — so a resubmission resolves them at submit. A rejected
-// submission stores nothing.
+// journaled, folded into the sweep, the worker's cost table merges into
+// the planning model, and any scenarios of the partition the submission
+// did not cover are re-planned into a recovery partition. The set's
+// estimates are stored in the coordinator's result cache — the
+// coordinator is the cache's only writer — so a resubmission resolves
+// them at submit: they reach the resident tier before the sweep can read
+// done, and any persistent store behind it once c.mu is released. A
+// rejected submission stores nothing.
 func (c *Coordinator) Results(leaseID string, sub ResultSubmission) error {
 	if sub.Version != ProtocolVersion {
 		return fmt.Errorf("sweepd: results version %d, want %d", sub.Version, ProtocolVersion)
@@ -465,57 +457,45 @@ func (c *Coordinator) Results(leaseID string, sub ResultSubmission) error {
 	if sub.Results == nil {
 		return errors.New("sweepd: submission carries no result set")
 	}
-	spec, err := c.acceptResults(leaseID, sub)
+	owed, err := c.acceptResults(leaseID, sub)
 	if err != nil {
 		return err
 	}
-	// The Puts run outside c.mu: behind a file store each one is a file
-	// write, and leases and status must not wait for them.
-	if runner, err := spec.NewRunner(core.WithCacheBackend(c.cache)); err == nil {
-		results := make([]core.Result, len(sub.Results.Results))
-		for i, item := range sub.Results.Results {
-			results[i] = item.Result()
-		}
-		runner.Store(results)
+	// The store writes run outside c.mu: behind a file store each one is a
+	// file write, and leases and status must not wait for them.
+	if owed != nil {
+		owed.flush()
 	}
 	return nil
 }
 
-// acceptResults is Results' transition under c.mu. It returns the spec of
-// the sweep the lease belonged to.
-func (c *Coordinator) acceptResults(leaseID string, sub ResultSubmission) (shard.RunnerSpec, error) {
+// acceptResults is Results' transition under c.mu. It returns the store
+// writes still owed for the accepted estimates (nil when none are).
+func (c *Coordinator) acceptResults(leaseID string, sub ResultSubmission) (*writeBehind, error) {
 	now := c.opts.Clock()
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.reapLocked(now)
 	l, ok := c.leases[leaseID]
 	if !ok {
-		return shard.RunnerSpec{}, fmt.Errorf("sweepd: lease %s not found (expired or completed)", leaseID)
+		return nil, fmt.Errorf("sweepd: lease %s not found (expired or completed)", leaseID)
 	}
 	sw := c.sweeps[l.sweepID]
 
-	// Durability first: persist the set, journal the release and the
-	// acceptance by reference in one write, and only then mutate state. On
-	// journal failure the worker sees an error and retries; an orphaned
-	// result file is harmless.
-	var ref string
-	if c.journal != nil {
-		var err error
-		if ref, err = c.journal.WriteResults(sw.id, sub.Results); err != nil {
-			return shard.RunnerSpec{}, err
-		}
-		if err := c.journal.Append(
-			record{Kind: recRelease, Sweep: sw.id, Lease: leaseID, Reason: releaseResults},
-			record{Kind: recAccept, Sweep: sw.id, Lease: leaseID, Ref: ref},
-		); err != nil {
-			return shard.RunnerSpec{}, err
-		}
+	// Durability first: journal the release and the acceptance, which
+	// carries the set, in one write, and only then mutate state. On journal
+	// failure the worker sees an error and retries.
+	if err := c.appendLocked(
+		record{Kind: recRelease, Sweep: sw.id, Lease: leaseID, Reason: releaseResults},
+		record{Kind: recAccept, Sweep: sw.id, Lease: leaseID, Set: sub.Results},
+	); err != nil {
+		return nil, err
 	}
 	delete(c.leases, leaseID)
 	sw.active--
 
 	c.costs = c.costs.Merge(sub.Costs)
-	sw.accept(sub.Results, ref)
+	sw.accept(sub.Results)
 	// A partial submission (worker gave up mid-shard) leaves a gap inside
 	// this partition; replan exactly those indices as a recovery partition.
 	var gap []int
@@ -526,13 +506,39 @@ func (c *Coordinator) acceptResults(leaseID string, sub ResultSubmission) (shard
 	}
 	if len(gap) > 0 {
 		if err := c.requeueGapLocked(sw, l.part, gap); err != nil {
-			return shard.RunnerSpec{}, err
+			return nil, err
 		}
 	}
 	c.logf("lease %s: sweep %s shard %d done (%d results, %d missing)",
 		leaseID, sw.id, l.part.shard.Index, len(sub.Results.Results), len(gap))
+	// Store before the sweep can finish, so a client that resubmits as soon
+	// as it reads done finds every estimate.
+	owed := c.storeLocked(sw.manifest.Runner, sub.Results)
 	c.maybeFinishLocked(sw)
-	return sw.manifest.Runner, nil
+	return owed, nil
+}
+
+// storeLocked stores a result set's estimates in the coordinator's cache
+// under the sweep's spec. Under c.mu it puts them in the resident tier
+// only; it returns the writes owed to the persistent store behind it (nil
+// without one), for the caller to flush once c.mu is released.
+func (c *Coordinator) storeLocked(spec shard.RunnerSpec, rs *shard.ResultSet) *writeBehind {
+	backend := c.cache
+	var owed *writeBehind
+	if tiered, ok := c.cache.(*tieredCache); ok {
+		owed = &writeBehind{tieredCache: tiered, queued: make([]queuedPut, 0, len(rs.Results)*len(spec.Methods))}
+		backend = owed
+	}
+	runner, err := spec.NewRunner(core.WithCacheBackend(backend))
+	if err != nil {
+		return nil
+	}
+	results := make([]core.Result, len(rs.Results))
+	for i, item := range rs.Results {
+		results[i] = item.Result()
+	}
+	runner.Store(results)
+	return owed
 }
 
 // Fail reports a lease the worker could not run; the partition requeues

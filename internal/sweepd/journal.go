@@ -2,6 +2,7 @@ package sweepd
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -17,12 +18,12 @@ import (
 
 // The write-ahead journal makes the coordinator's sweep state durable:
 // every state transition appends one framed, checksummed record to
-// <state-dir>/journal.wal before the in-memory state changes, and accepted
-// result sets are persisted as separate files under <state-dir>/results/
-// with the journal holding only a reference — so the journal stays small
-// and replay never re-runs a finished scenario. On restart the coordinator
-// replays the journal (recovery.go), truncating a torn tail record instead
-// of refusing to start, and compacts it to per-sweep snapshot records.
+// <state-dir>/journal.wal before the in-memory state changes. An accepted
+// result set travels inside its accept record, so the one fsync that
+// journals the acceptance also makes the set durable, and replay never
+// re-runs a finished scenario. On restart the coordinator replays the
+// journal (recovery.go), truncating a torn tail record instead of refusing
+// to start, and compacts it to per-sweep snapshot records.
 // While running, it compacts again when a sweep completes and the bytes
 // appended since the last compaction have reached that compaction's size,
 // so the journal stays within twice its snapshot and each rewrite is paid
@@ -37,15 +38,14 @@ const (
 	// recSubmit: a sweep was admitted; carries the re-planned manifest.
 	recSubmit = "submit"
 	// recSnapshot: a compaction summary of one sweep — manifest, state,
-	// counters, and accepted-result references.
+	// counters, and accepted result sets.
 	recSnapshot = "snapshot"
 	// recLease: a partition was granted to a worker.
 	recLease = "lease"
 	// recRelease: a lease left the table (results, fail, expired).
 	recRelease = "release"
-	// recAccept: a result set was accepted; Ref names its file under
-	// results/. It carries no Lease when the coordinator resolved the set
-	// from its cache at submit.
+	// recAccept: a result set was accepted; Set carries it. It carries no
+	// Lease when the coordinator resolved the set from its cache at submit.
 	recAccept = "accept"
 	// recRequeue: a partition re-entered the queue (counter semantics).
 	recRequeue = "requeue"
@@ -87,7 +87,13 @@ type record struct {
 	// State and Error carry terminal sweep state (state, snapshot).
 	State string `json:"state,omitempty"`
 	Error string `json:"error,omitempty"`
-	// Refs lists accepted result files (snapshot); Ref names one (accept).
+	// Sets are a sweep's accepted result sets (snapshot); Set is the one
+	// an accept record accepts.
+	Sets []*shard.ResultSet `json:"sets,omitempty"`
+	Set  *shard.ResultSet   `json:"set,omitempty"`
+	// Refs and Ref name result-set files under results/ instead: the form
+	// journals took before sets were journaled inline. Replay still
+	// resolves them, and the compaction after it rewrites them inline.
 	Refs []string `json:"refs,omitempty"`
 	Ref  string   `json:"ref,omitempty"`
 	// Counters snapshots the sweep's recovery counters (snapshot).
@@ -101,21 +107,24 @@ type record struct {
 }
 
 // journalFile is the WAL's name inside the state directory; resultsDir
-// holds the referenced result sets.
+// holds result-set files (WriteResults, and the sets older journals
+// reference).
 const (
 	journalFile = "journal.wal"
 	resultsDir  = "results"
 )
 
 // Journal is the coordinator's durable log: fsync'd atomic appends of
-// framed records plus a directory of referenced result-set files. One
-// coordinator owns one journal; methods are not safe for concurrent use
-// (the coordinator serializes them under its own lock).
+// framed records. One coordinator owns one journal; methods are not safe
+// for concurrent use (the coordinator serializes them under its own lock).
 type Journal struct {
 	dir  string
 	path string
 	f    *os.File
 	seq  atomic.Uint64 // result-file uniquifier
+	// buf holds the frames of the last Append, reused so a batch that
+	// carries a result set is encoded without a fresh allocation.
+	buf []byte
 	// compacted is the size of the last compaction's snapshot, appended
 	// the bytes appended since (compactionDue compares them).
 	compacted, appended int
@@ -126,7 +135,7 @@ func OpenJournal(dir string) (*Journal, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("sweepd: journal directory must not be empty")
 	}
-	if err := os.MkdirAll(filepath.Join(dir, resultsDir), 0o755); err != nil {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("sweepd: creating state directory: %w", err)
 	}
 	path := filepath.Join(dir, journalFile)
@@ -134,13 +143,7 @@ func OpenJournal(dir string) (*Journal, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweepd: opening journal: %w", err)
 	}
-	j := &Journal{dir: dir, path: path, f: f}
-	// Seed the result-file uniquifier past any files already present so a
-	// recovered coordinator never overwrites a referenced set.
-	if des, err := os.ReadDir(filepath.Join(dir, resultsDir)); err == nil {
-		j.seq.Store(uint64(len(des)))
-	}
-	return j, nil
+	return &Journal{dir: dir, path: path, f: f}, nil
 }
 
 // Dir returns the journal's state directory.
@@ -156,25 +159,32 @@ func (j *Journal) Close() error {
 	return err
 }
 
+// frameHeader is the room a frame reserves for its checksum and separator.
+const frameHeader = len("01234567 ")
+
 // appendFrames appends records to buf as consecutive lines, ready for one
 // write. A line is 8 hex CRC32(payload) + space + payload + newline.
 // encoding/json escapes raw newlines, so the newline terminates exactly
 // one record and a torn write is detectable as a CRC mismatch or a missing
-// terminator.
+// terminator. Each payload is encoded straight into buf (json.Encoder ends
+// it with the newline) and its checksum is then written into the room
+// reserved before it, so a large record is not copied on its way in.
 func appendFrames(buf []byte, recs ...record) ([]byte, error) {
+	w := bytes.NewBuffer(buf)
+	enc := json.NewEncoder(w)
 	for _, rec := range recs {
 		rec.V = journalVersion
-		payload, err := json.Marshal(rec)
-		if err != nil {
+		start := w.Len()
+		w.WriteString("00000000 ")
+		if err := enc.Encode(rec); err != nil {
 			return nil, fmt.Errorf("sweepd: encoding journal record: %w", err)
 		}
-		sum := crc32.ChecksumIEEE(payload)
-		buf = hex.AppendEncode(buf, []byte{byte(sum >> 24), byte(sum >> 16), byte(sum >> 8), byte(sum)})
-		buf = append(buf, ' ')
-		buf = append(buf, payload...)
-		buf = append(buf, '\n')
+		frame := w.Bytes()[start:]
+		var sum [4]byte
+		binary.BigEndian.PutUint32(sum[:], crc32.ChecksumIEEE(frame[frameHeader:len(frame)-1]))
+		hex.Encode(frame, sum[:])
 	}
-	return buf, nil
+	return w.Bytes(), nil
 }
 
 // parseFrame decodes one framed line (without its newline). ok is false
@@ -207,10 +217,11 @@ func parseFrame(line []byte) (record, bool) {
 // replays safely (a release before the accept it enables: losing the
 // accept re-plans the lease's scenarios instead of counting them twice).
 func (j *Journal) Append(recs ...record) error {
-	buf, err := appendFrames(nil, recs...)
+	buf, err := appendFrames(j.buf[:0], recs...)
 	if err != nil {
 		return err
 	}
+	j.buf = buf
 	if _, err := j.f.Write(buf); err != nil {
 		return fmt.Errorf("sweepd: appending journal record: %w", err)
 	}
@@ -237,23 +248,7 @@ func (j *Journal) Load() ([]record, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweepd: reading journal: %w", err)
 	}
-	var recs []record
-	valid := 0 // byte offset of the end of the last valid record
-	for off := 0; off < len(data); {
-		nl := bytes.IndexByte(data[off:], '\n')
-		if nl < 0 {
-			break // unterminated tail: torn final write
-		}
-		rec, ok := parseFrame(data[off : off+nl])
-		if !ok {
-			break // checksum/format failure: torn or corrupt from here on
-		}
-		if rec.V == journalVersion {
-			recs = append(recs, rec)
-		}
-		off += nl + 1
-		valid = off
-	}
+	recs, valid := parseFrames(data)
 	if valid < len(data) {
 		if err := j.f.Truncate(int64(valid)); err != nil {
 			return nil, fmt.Errorf("sweepd: truncating torn journal tail: %w", err)
@@ -263,6 +258,28 @@ func (j *Journal) Load() ([]record, error) {
 		}
 	}
 	return recs, nil
+}
+
+// parseFrames decodes the whole, valid frames at the start of data. It
+// returns the records written under journalVersion and the byte offset
+// where the valid prefix ends: at the first unterminated, malformed or
+// checksum-failing line.
+func parseFrames(data []byte) (recs []record, valid int) {
+	for valid < len(data) {
+		nl := bytes.IndexByte(data[valid:], '\n')
+		if nl < 0 {
+			break // unterminated tail: torn final write
+		}
+		rec, ok := parseFrame(data[valid : valid+nl])
+		if !ok {
+			break // checksum/format failure: torn or corrupt from here on
+		}
+		if rec.V == journalVersion {
+			recs = append(recs, rec)
+		}
+		valid += nl + 1
+	}
+	return recs, valid
 }
 
 // Compact atomically replaces the journal's contents with buf, framed
@@ -286,18 +303,31 @@ func (j *Journal) Compact(buf []byte) error {
 	return nil
 }
 
-// WriteResults durably persists an accepted result set under results/ and
-// returns the reference to journal (the file name, state-dir relative).
-// The write is atomic and durable (temp + fsync + rename + directory
-// fsync), so a reference that made it into the journal always points at a
-// complete file, across a power loss too.
+// WriteResults durably persists a result set under results/, creating the
+// directory on first use, and returns its reference (the file name, state-
+// dir relative) for ReadResults. The write is atomic and durable (temp +
+// fsync + rename + directory fsync), so a reference recorded after it
+// always points at a complete file, across a power loss too. The
+// coordinator journals accepted sets inline instead; this is the form
+// journals written before that referenced.
 func (j *Journal) WriteResults(sweepID string, rs *shard.ResultSet) (string, error) {
+	dir := filepath.Join(j.dir, resultsDir)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", fmt.Errorf("sweepd: creating results directory: %w", err)
+	}
+	if j.seq.Load() == 0 {
+		// Seed the uniquifier past the files already present, so a set is
+		// never written over one an older journal references.
+		if des, err := os.ReadDir(dir); err == nil {
+			j.seq.Store(uint64(len(des)))
+		}
+	}
 	name := fmt.Sprintf("%s-%06d.json", sweepID, j.seq.Add(1))
 	data, err := json.Marshal(rs)
 	if err != nil {
 		return "", fmt.Errorf("sweepd: encoding result set: %w", err)
 	}
-	if err := writeAtomic(filepath.Join(j.dir, resultsDir, name), data); err != nil {
+	if err := writeAtomic(filepath.Join(dir, name), data); err != nil {
 		return "", fmt.Errorf("sweepd: writing result set: %w", err)
 	}
 	return filepath.Join(resultsDir, name), nil

@@ -78,7 +78,14 @@ func TestRecoverSpeculationEraJournal(t *testing.T) {
 			t.Fatalf("compacted journal still carries %q:\n%s", retired, compacted)
 		}
 	}
+	finishCompatSweeps(t, c)
+}
 
+// finishCompatSweeps runs the recovered fixture's remaining leases on c,
+// failing if one re-leases a completed scenario, and requires both sweeps
+// to merge byte-identically to an in-process RunAll.
+func finishCompatSweeps(t *testing.T, c *Coordinator) {
+	t.Helper()
 	spec := testSpec()
 	runner, err := spec.NewRunner(core.WithCache(false))
 	if err != nil {

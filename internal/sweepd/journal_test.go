@@ -2,6 +2,8 @@ package sweepd
 
 import (
 	"bytes"
+	"errors"
+	"io/fs"
 	"maps"
 	"net/http"
 	"net/http/httptest"
@@ -401,8 +403,9 @@ func TestReadinessOverHTTP(t *testing.T) {
 
 // TestJournalCompactAndResults: Compact atomically replaces the journal's
 // contents and appends keep working afterwards; WriteResults/ReadResults
-// round-trip a result set by reference, confine references to the results
-// directory, and reject wrong-version payloads.
+// round-trip a result set by reference (WriteResults creating the results
+// directory on first use), confine references to the results directory,
+// and reject wrong-version payloads.
 func TestJournalCompactAndResults(t *testing.T) {
 	dir := t.TempDir()
 	j, err := OpenJournal(dir)
@@ -435,6 +438,10 @@ func TestJournalCompactAndResults(t *testing.T) {
 		t.Fatalf("post-compaction journal = %+v, want snapshot(s1)+submit(s2)", recs)
 	}
 
+	// OpenJournal leaves results/ alone; WriteResults creates it.
+	if _, err := os.Stat(filepath.Join(dir, resultsDir)); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("OpenJournal created %s/ (stat: %v)", resultsDir, err)
+	}
 	rs := &shard.ResultSet{Version: shard.ResultSetVersion, Results: []shard.ResultItem{{Index: 3}}}
 	ref, err := j.WriteResults("s1", rs)
 	if err != nil {

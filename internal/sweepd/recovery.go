@@ -10,16 +10,16 @@ import (
 
 // Recover replays the write-ahead journal and marks the coordinator
 // ready. Replay reconstructs every journaled sweep — manifests, accepted
-// result sets (loaded by reference), coverage, terminal states, and the
-// cumulative recovery counters — then expires every lease that was
-// outstanding at the crash and re-plans exactly the uncovered scenario
-// indices of each running sweep into a fresh queue (shard.Replan over
-// Manifest.MissingFrom). Because scenario seeds derive from configuration
-// content, the recovered sweep's merged output is byte-identical to an
-// uninterrupted run, and no completed scenario is ever re-executed. Unlike
-// Submit, replay never consults the result cache: scenarios resolved at
-// submit come back from their journaled accept, and missing ones are
-// re-planned, not looked up.
+// result sets (inline, or by reference from an older journal), coverage,
+// terminal states, and the cumulative recovery counters — then expires
+// every lease that was outstanding at the crash and re-plans exactly the
+// uncovered scenario indices of each running sweep into a fresh queue
+// (shard.Replan over Manifest.MissingFrom). Because scenario seeds derive
+// from configuration content, the recovered sweep's merged output is
+// byte-identical to an uninterrupted run, and no completed scenario is
+// ever re-executed. Unlike Submit, replay never consults the result cache:
+// scenarios resolved at submit come back from their journaled accept, and
+// missing ones are re-planned, not looked up.
 //
 // A coordinator without a journal (NewCoordinator, or Open with an empty
 // StateDir) just becomes ready. Recover is not idempotent; call it once,
@@ -39,7 +39,11 @@ func (c *Coordinator) Recover() error {
 	// Outstanding leases in journal order: granted, not yet released.
 	outstanding := make(map[string]record)
 	var outstandingOrder []string
-	haveRef := make(map[string]bool)
+	// Accept records already folded, by sweep and lease: a lease is
+	// accepted once and a sweep resolves at submit once, so a duplicated
+	// record (a crash between append and apply, then a retried submission)
+	// folds its set once.
+	accepted := make(map[[2]string]bool)
 
 	for _, rec := range recs {
 		switch rec.Kind {
@@ -67,8 +71,11 @@ func (c *Coordinator) Recover() error {
 			if n := idNumber(sw.id); n > c.nextSweep {
 				c.nextSweep = n
 			}
+			for _, rs := range rec.Sets {
+				sw.accept(rs)
+			}
 			for _, ref := range rec.Refs {
-				c.loadResultsLocked(sw, ref, haveRef)
+				c.loadResultsLocked(sw, ref)
 			}
 		case recLease:
 			sw := c.sweeps[rec.Sweep]
@@ -91,10 +98,15 @@ func (c *Coordinator) Recover() error {
 			}
 		case recAccept:
 			sw := c.sweeps[rec.Sweep]
-			if sw == nil {
+			if sw == nil || accepted[[2]string{sw.id, rec.Lease}] {
 				continue
 			}
-			c.loadResultsLocked(sw, rec.Ref, haveRef)
+			accepted[[2]string{sw.id, rec.Lease}] = true
+			if rec.Set != nil {
+				sw.accept(rec.Set)
+			} else {
+				c.loadResultsLocked(sw, rec.Ref)
+			}
 		case recRequeue:
 			sw := c.sweeps[rec.Sweep]
 			if sw == nil {
@@ -143,9 +155,9 @@ func (c *Coordinator) Recover() error {
 				if results, err := shard.Merge(sw.manifest, sw.sets); err == nil {
 					sw.merged = results
 				} else {
-					// The journal said done but the referenced sets no longer
-					// merge (lost result files): rerun the gap instead of
-					// serving nothing.
+					// The journal said done but its sets no longer merge
+					// (result files an older journal referenced are lost):
+					// rerun the gap instead of serving nothing.
 					sw.state = StateRunning
 					sw.errMsg = ""
 				}
@@ -180,33 +192,34 @@ func (c *Coordinator) Recover() error {
 			sw.id, len(missing), sw.manifest.Total, len(sw.queue))
 	}
 
-	// Compact so the next restart replays snapshots instead of history.
-	c.compactLocked(true)
+	// Compact so the next restart replays snapshots instead of history,
+	// with every set inline. An empty journal has nothing to compact.
+	if len(recs) > 0 {
+		c.compactLocked(true)
+	}
 	c.ready.Store(true)
 	c.logf("recover: %d sweeps restored from %s", len(c.order), c.journal.Dir())
 	return nil
 }
 
-// loadResultsLocked folds one referenced result set into a sweep,
-// skipping references already loaded (a duplicate accept record replays
-// idempotently) and references whose file is missing or corrupt (those
+// loadResultsLocked folds one result set an older journal referenced into
+// a sweep, skipping a reference whose file is missing or corrupt (those
 // scenarios simply count as uncovered and are re-planned).
-func (c *Coordinator) loadResultsLocked(sw *sweep, ref string, haveRef map[string]bool) {
-	if ref == "" || haveRef[ref] {
+func (c *Coordinator) loadResultsLocked(sw *sweep, ref string) {
+	if ref == "" {
 		return
 	}
-	haveRef[ref] = true
 	rs, err := c.journal.ReadResults(ref)
 	if err != nil {
 		c.logf("recover: dropping result set %s: %v", ref, err)
 		return
 	}
-	sw.accept(rs, ref)
+	sw.accept(rs)
 }
 
 // compactLocked rewrites the journal as one snapshot record per sweep (in
-// submission order, carrying manifest, state, counters, and result
-// references) plus one lease record per still-active lease — the minimal
+// submission order, carrying manifest, state, counters, and accepted
+// result sets) plus one lease record per still-active lease — the minimal
 // prefix a future Recover needs. Recovery forces it; a completing sweep
 // runs it only when the journal says a compaction is due. A done sweep
 // never changes again, so its framed snapshot is encoded once and copied
@@ -260,7 +273,7 @@ func snapshotRecord(sw *sweep) record {
 		Manifest: sw.manifest,
 		State:    sw.state,
 		Error:    sw.errMsg,
-		Refs:     sw.refs,
+		Sets:     sw.sets,
 		Counters: &sw.counters,
 	}
 }
