@@ -381,3 +381,50 @@ func TestFieldCancellation(t *testing.T) {
 		t.Fatal("cancelled context did not abort the field")
 	}
 }
+
+// TestFieldAllocationsFlatInNodeCount guards the field's per-node
+// footprint: opening, running and finishing a field allocates per compiled
+// net and per state array, never per node, so a 4000-node tree costs the
+// same number of allocations as a 1000-node one.
+func TestFieldAllocationsFlatInNodeCount(t *testing.T) {
+	allocs := func(n int) float64 {
+		cfg := DefaultConfig(TreeTopology(n, 4, 0.05, 10))
+		cfg.Horizon, cfg.Warmup = 1, 0.5
+		return testing.AllocsPerRun(3, func() {
+			if _, err := Simulate(cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(1000), allocs(4000)
+	if math.Abs(large-small) > 10 {
+		t.Fatalf("allocations grow with node count: %v at 1000 nodes, %v at 4000", small, large)
+	}
+}
+
+// TestNodeStateHoldsNoPointers keeps the per-node state array out of the
+// garbage collector's scan: a pointer field in nodeState would make every
+// GC cycle walk all of a large field's node states.
+func TestNodeStateHoldsNoPointers(t *testing.T) {
+	var hasPointers func(reflect.Type) bool
+	hasPointers = func(typ reflect.Type) bool {
+		switch typ.Kind() {
+		case reflect.Struct:
+			for i := 0; i < typ.NumField(); i++ {
+				if hasPointers(typ.Field(i).Type) {
+					return true
+				}
+			}
+			return false
+		case reflect.Array:
+			return hasPointers(typ.Elem())
+		case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map, reflect.String,
+			reflect.Interface, reflect.Chan, reflect.Func:
+			return true
+		}
+		return false
+	}
+	if typ := reflect.TypeOf(nodeState{}); hasPointers(typ) {
+		t.Fatalf("%v holds a pointer", typ)
+	}
+}

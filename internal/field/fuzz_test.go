@@ -26,7 +26,9 @@ import (
 //     traffic monotonicity (more traffic never lengthens a lifetime);
 //   - reroutes land where they must: every surviving node reports as its
 //     parent its nearest configured ancestor alive at the horizon, or its
-//     configured parent when no ancestor up to the sink survived.
+//     configured parent when no ancestor up to the sink survived;
+//   - the same field measured from t = 0 conserves energy across the
+//     layers (checkConservation).
 //
 // Trees reach 40 nodes, so deaths chain through several levels.
 func FuzzFieldSimulate(f *testing.F) {
@@ -37,47 +39,8 @@ func FuzzFieldSimulate(f *testing.F) {
 	f.Add(uint64(3), uint8(38), uint16(20000), uint16(400), uint8(60), uint16(1500))
 	f.Add(uint64(3), uint8(38), uint16(20000), uint16(400), uint8(60), uint16(3000))
 	f.Fuzz(func(t *testing.T, seed uint64, nRaw uint8, rateRaw, radioRaw uint16, spacingRaw uint8, battRaw uint16) {
-		n := 2 + int(nRaw%39)
-		rng := xrand.New(seed)
-		nodes := make([]Node, n)
-		baseRate := 0.05 + float64(rateRaw)/65535*1.5
-		for i := range nodes {
-			parent := 0
-			if i > 0 {
-				parent = rng.Intn(i) // parents precede children: always a tree
-			}
-			nodes[i] = Node{
-				ID:         i,
-				Parent:     parent,
-				SampleRate: baseRate * (0.5 + rng.Float64()),
-				Pos: Position{
-					X: float64(spacingRaw) * rng.Float64(),
-					Y: float64(spacingRaw) * rng.Float64(),
-				},
-			}
-		}
-		scale := 0.1 + float64(radioRaw)/65535*10
-		cfg := DefaultConfig(nodes)
-		cfg.Radio = energy.Radio{
-			ElecJPerBit:  50e-9 * scale,
-			AmpJPerBitM2: 100e-12 * scale,
-			AggJPerBit:   5e-9 * scale,
-			SenseJPerBit: 5e-9 * scale,
-			PacketBits:   256 + float64(radioRaw%2048),
-			ListenMW:     0.01 * scale,
-		}
-		cfg.Horizon = 25
-		cfg.Warmup = 2.5
-		cfg.Seed = seed
-		// Battery from ~0.005 J (death within the first event or two,
-		// warmup included) up to the stock AA pair (no node ever dies);
-		// the draw under PXA271 is ~0.02-0.2 W, so the low half of the
-		// range deals mid-run deaths and the top survives the horizon.
-		if battRaw == 65535 {
-			cfg.Battery = energy.AA2850
-		} else {
-			cfg.Battery = energy.Battery{CapacitymAh: 0.0005 + float64(battRaw)*0.0001, Volts: 3}
-		}
+		cfg := fuzzConfig(seed, nRaw, rateRaw, radioRaw, spacingRaw, battRaw)
+		nodes, n := cfg.Nodes, len(cfg.Nodes)
 		hz := cfg.Warmup + cfg.Horizon
 
 		res, err := Simulate(cfg)
@@ -225,5 +188,129 @@ func FuzzFieldSimulate(f *testing.F) {
 				}
 			}
 		}
+
+		// The same field measured from t = 0 must conserve energy.
+		cfg.Warmup = 0
+		res, err = Simulate(cfg)
+		if err != nil {
+			t.Fatalf("config %+v: %v", cfg, err)
+		}
+		checkConservation(t, cfg, res)
 	})
+}
+
+// checkConservation checks a Warmup-0 run's energy ledger across the
+// layers. With no warmup the measured window is each node's whole life, so
+// the energy the field reports — CPU energy from the engine's state-place
+// averages, radio energy from per-packet accounting — must be exactly what
+// its battery lost, which the field drains separately by integrating the
+// live marking's draw between events:
+//
+//   - a survivor's EnergyJ equals its drain, capacity − RemainingJ, to a
+//     relative 1e-9;
+//   - a dead node's EnergyJ is at least capacity·(1−1e-9): it spent its
+//     whole battery;
+//   - a dead node's overdraft beyond capacity is at most its Tx+Rx+Agg+Sense
+//     energy, since BatteryState lets the node's last transaction complete
+//     and the continuous draw stops exactly at the crossing.
+//
+// It returns how many nodes survived and died.
+func checkConservation(t testing.TB, cfg Config, res *Result) (survivors, dead int) {
+	t.Helper()
+	capJ := cfg.Battery.EnergyJoules()
+	for _, nr := range res.Nodes {
+		if !nr.Died {
+			survivors++
+			if drained := capJ - nr.RemainingJ; math.Abs(nr.EnergyJ-drained) > 1e-9*drained {
+				t.Fatalf("node %d: reports %v J but its battery lost %v J (rel. error %.3g)",
+					nr.ID, nr.EnergyJ, drained, math.Abs(nr.EnergyJ-drained)/drained)
+			}
+			continue
+		}
+		dead++
+		if nr.EnergyJ < capJ*(1-1e-9) {
+			t.Fatalf("node %d: died having spent %v J of its %v J battery", nr.ID, nr.EnergyJ, capJ)
+		}
+		if over, txn := nr.EnergyJ-capJ, nr.TxEnergyJ+nr.RxEnergyJ+nr.AggEnergyJ+nr.SenseEnergyJ; over > txn*(1+1e-9)+1e-9*capJ {
+			t.Fatalf("node %d: overdrew its %v J battery by %v J, more than its %v J of transactions",
+				nr.ID, capJ, over, txn)
+		}
+	}
+	return survivors, dead
+}
+
+// fuzzConfig builds the field FuzzFieldSimulate runs from its raw inputs: a
+// random tree of 2 to 40 nodes with IDs equal to their indexes and node 0
+// the sink.
+func fuzzConfig(seed uint64, nRaw uint8, rateRaw, radioRaw uint16, spacingRaw uint8, battRaw uint16) Config {
+	n := 2 + int(nRaw%39)
+	rng := xrand.New(seed)
+	nodes := make([]Node, n)
+	baseRate := 0.05 + float64(rateRaw)/65535*1.5
+	for i := range nodes {
+		parent := 0
+		if i > 0 {
+			parent = rng.Intn(i) // parents precede children: always a tree
+		}
+		nodes[i] = Node{
+			ID:         i,
+			Parent:     parent,
+			SampleRate: baseRate * (0.5 + rng.Float64()),
+			Pos: Position{
+				X: float64(spacingRaw) * rng.Float64(),
+				Y: float64(spacingRaw) * rng.Float64(),
+			},
+		}
+	}
+	scale := 0.1 + float64(radioRaw)/65535*10
+	cfg := DefaultConfig(nodes)
+	cfg.Radio = energy.Radio{
+		ElecJPerBit:  50e-9 * scale,
+		AmpJPerBitM2: 100e-12 * scale,
+		AggJPerBit:   5e-9 * scale,
+		SenseJPerBit: 5e-9 * scale,
+		PacketBits:   256 + float64(radioRaw%2048),
+		ListenMW:     0.01 * scale,
+	}
+	cfg.Horizon = 25
+	cfg.Warmup = 2.5
+	cfg.Seed = seed
+	// Battery from ~0.005 J (death within the first event or two,
+	// warmup included) up to the stock AA pair (no node ever dies);
+	// the draw under PXA271 is ~0.02-0.2 W, so the low half of the
+	// range deals mid-run deaths and the top survives the horizon.
+	if battRaw == 65535 {
+		cfg.Battery = energy.AA2850
+	} else {
+		cfg.Battery = energy.Battery{CapacitymAh: 0.0005 + float64(battRaw)*0.0001, Volts: 3}
+	}
+	return cfg
+}
+
+// TestFieldEnergyConservation runs checkConservation over 400 fuzzer-shaped
+// fields measured from t = 0, with batteries from instantly fatal to the
+// stock AA pair, so the ledger is checked on survivors and dead nodes
+// alike.
+func TestFieldEnergyConservation(t *testing.T) {
+	var survivors, dead int
+	for seed := uint64(1); seed <= 400; seed++ {
+		r := xrand.New(seed)
+		battRaw := uint16(r.Intn(4000))
+		if seed%4 == 0 {
+			battRaw = 65535 // every fourth field survives on AA cells
+		}
+		cfg := fuzzConfig(seed, uint8(r.Intn(39)), uint16(r.Intn(65536)), uint16(r.Intn(65536)), uint8(r.Intn(256)), battRaw)
+		cfg.Warmup = 0
+		res, err := Simulate(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		s, d := checkConservation(t, cfg, res)
+		survivors += s
+		dead += d
+	}
+	if survivors == 0 || dead == 0 {
+		t.Fatalf("the ledger must be checked on both kinds of node: %d survivors, %d dead", survivors, dead)
+	}
+	t.Logf("%d survivors and %d dead nodes conserve energy", survivors, dead)
 }

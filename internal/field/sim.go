@@ -116,7 +116,8 @@ func (r *Result) LifetimeDays() float64 { return r.LifetimeSeconds / 86400 }
 
 // nodeIDs caches the place and transition IDs a field node's net resolves
 // to. BuildNodeNet is deterministic, so the IDs are identical across all
-// per-rate compilations; they are still resolved per compiled net.
+// per-rate compilations; they are still resolved per compiled net, and open
+// fails if two nets disagree, so one copy serves every node.
 type nodeIDs struct {
 	p6, buffer, outbox             petri.PlaceID
 	standby, powerup, idle, active petri.PlaceID
@@ -134,13 +135,13 @@ const (
 	parentNone = -2 // every ancestor up to and including the sink is dead
 )
 
-// nodeState is one node's live simulation state.
+// nodeState is one node's live simulation state. It holds no pointers —
+// the node's session lives in fieldSim.sess — so the garbage collector never
+// scans the state array, however large the field.
 type nodeState struct {
 	node   Node
 	parent int // index into the state slice, or a sentinel above
 	dist   float64
-	sess   *petri.Session
-	ids    *nodeIDs // shared by every node of the same compiled net
 
 	txPackets, rxPackets uint64
 	txJ, rxJ, aggJ       float64
@@ -196,8 +197,13 @@ func SimulateContext(ctx context.Context, cfg Config) (*Result, error) {
 }
 
 type fieldSim struct {
-	cfg      Config
-	nodes    []nodeState
+	cfg   Config
+	nodes []nodeState
+	// sess[i] is node i's engine session, nil once it died or finished.
+	sess []*petri.Session
+	// ids is the node net's place and transition IDs, the same for every
+	// compiled net.
+	ids      nodeIDs
 	heap     eventHeap
 	warmup   float64
 	hz       float64
@@ -240,6 +246,7 @@ func open(ctx context.Context, cfg Config) (*fieldSim, error) {
 	groupOf := map[float64]int{}
 	var groups []rateGroup
 	f.nodes = make([]nodeState, len(nodes))
+	f.sess = make([]*petri.Session, len(nodes))
 	f.kidHead = make([]int32, len(nodes))
 	f.kidNext = make([]int32, len(nodes))
 	for i := range f.kidHead {
@@ -267,7 +274,7 @@ func open(ctx context.Context, cfg Config) (*fieldSim, error) {
 
 	// One compiled net and one batch of sessions per distinct sample rate.
 	// The rate's k-th session belongs to its k-th node in ID order.
-	for _, g := range groups {
+	for gi, g := range groups {
 		rate := nodes[g.first].SampleRate
 		net := BuildNodeNet(cfg.CPU, rate)
 		comp, err := petri.Compile(net)
@@ -275,7 +282,13 @@ func open(ctx context.Context, cfg Config) (*fieldSim, error) {
 			f.close()
 			return nil, fmt.Errorf("field: node %d: %w", nodes[g.first].ID, err)
 		}
-		ids := resolveIDs(net)
+		if ids := resolveIDs(net); gi == 0 {
+			f.ids = ids
+		} else if ids != f.ids {
+			f.close()
+			return nil, fmt.Errorf("field: node %d: net resolves to other place or transition IDs than node %d's",
+				nodes[g.first].ID, nodes[groups[0].first].ID)
+		}
 		// nextNode walks the rate's nodes in ID order; it is run once to
 		// seed the sessions and once more to hand them out.
 		at := g.first
@@ -299,8 +312,7 @@ func open(ctx context.Context, cfg Config) (*fieldSim, error) {
 		}
 		at = g.first
 		for k := range sess {
-			n := &f.nodes[nextNode()]
-			n.sess, n.ids = &sess[k], ids
+			f.sess[nextNode()] = &sess[k]
 		}
 	}
 	f.sensePkJ = cfg.Radio.SenseJ(cfg.Radio.PacketBits)
@@ -315,7 +327,7 @@ func open(ctx context.Context, cfg Config) (*fieldSim, error) {
 	return f, nil
 }
 
-func resolveIDs(n *petri.Net) *nodeIDs {
+func resolveIDs(n *petri.Net) nodeIDs {
 	place := func(name string) petri.PlaceID {
 		id, ok := n.PlaceByName(name)
 		if !ok {
@@ -330,7 +342,7 @@ func resolveIDs(n *petri.Net) *nodeIDs {
 		}
 		return id
 	}
-	ids := &nodeIDs{
+	ids := nodeIDs{
 		p6:      place(core.PlaceP6),
 		buffer:  place(core.PlaceCPUBuffer),
 		outbox:  place(PlaceOutbox),
@@ -348,11 +360,11 @@ func resolveIDs(n *petri.Net) *nodeIDs {
 	return ids
 }
 
-// close abandons every still-open session (error paths; finish closes
-// sessions by finishing them).
+// close abandons every still-open session (error paths; kill and finish
+// close their nodes' sessions themselves).
 func (f *fieldSim) close() {
-	for i := range f.nodes {
-		if s := f.nodes[i].sess; s != nil {
+	for _, s := range f.sess {
+		if s != nil {
 			s.Close()
 		}
 	}
@@ -381,7 +393,7 @@ func (f *fieldSim) run(ctx context.Context) error {
 			f.kill(i)
 			continue
 		}
-		if err := n.sess.StepTo(te); err != nil {
+		if err := f.sess[i].StepTo(te); err != nil {
 			return err
 		}
 		f.touch(i, te)
@@ -424,26 +436,26 @@ func (f *fieldSim) touch(i int, t float64) {
 // battery-zero crossing, and re-keys the node in the event heap with
 // min(next internal event, predicted crossing).
 func (f *fieldSim) refresh(i int) {
-	n := &f.nodes[i]
+	n, sess := &f.nodes[i], f.sess[i]
 	if !n.measured && n.lastT >= f.warmup {
 		// The engine re-based its firing counters to zero at the warmup
 		// boundary; re-base the sensing-charge baseline with it.
 		n.measured = true
 		n.senseFired = 0
 	}
-	if ar := n.sess.Firings(n.ids.ar); ar > n.senseFired {
+	if ar := sess.Firings(f.ids.ar); ar > n.senseFired {
 		n.batt.DrainJ(float64(ar-n.senseFired) * f.sensePkJ)
 		n.senseFired = ar
 	}
 	mw := f.cfg.Radio.ListenMW
-	for s, p := range n.ids.states {
-		tok := n.sess.Tokens(p)
+	for s, p := range f.ids.states {
+		tok := sess.Tokens(p)
 		n.stateTok[s] = tok
 		mw += float64(tok) * f.cfg.CPU.Power.MW[s]
 	}
 	n.drawW = mw / 1000
 	n.deathAt = n.lastT + n.batt.TimeToEmpty(n.drawW)
-	next := n.sess.NextEventTime()
+	next := sess.NextEventTime()
 	if n.deathAt < next {
 		next = n.deathAt
 	}
@@ -465,21 +477,21 @@ func (f *fieldSim) refresh(i int) {
 // session open, the wsnbench field-10k-death run fell from 35.0 to
 // 13.5 ms (fastest op, median of 10 alternating pairs, 2-core host).
 func (f *fieldSim) kill(i int) {
-	n := &f.nodes[i]
+	n, sess := &f.nodes[i], f.sess[i]
 	td := n.deathAt
 	f.touch(i, td)
 	n.alive = false
 	n.deathTime = td
 	n.deliveredBefore = f.delivered
 	if n.measured {
-		n.samplesAtDeath = n.sess.Firings(n.ids.ar)
-		n.processedAtDeath = n.sess.Firings(n.ids.sr)
+		n.samplesAtDeath = sess.Firings(f.ids.ar)
+		n.processedAtDeath = sess.Firings(f.ids.sr)
 	}
-	dropped := n.sess.Tokens(n.ids.outbox) + n.sess.Tokens(n.ids.buffer) + n.sess.Tokens(n.ids.active)
+	dropped := sess.Tokens(f.ids.outbox) + sess.Tokens(f.ids.buffer) + sess.Tokens(f.ids.active)
 	n.droppedAtDeath = uint64(dropped)
 	f.droppedInFlight += uint64(dropped)
-	n.sess.Close()
-	n.sess = nil
+	sess.Close()
+	f.sess[i] = nil
 	f.heap.remove(i)
 
 	newParent := n.parent
@@ -517,14 +529,15 @@ func (f *fieldSim) kill(i int) {
 func (f *fieldSim) deliver(i int, te float64) error {
 	measured := te >= f.warmup
 	radio := &f.cfg.Radio
+	ids := &f.ids
 	for {
 		n := &f.nodes[i]
-		k := n.sess.Tokens(n.ids.outbox)
+		k := f.sess[i].Tokens(ids.outbox)
 		if k == 0 {
 			f.refresh(i)
 			return nil
 		}
-		if err := n.sess.Inject(petri.Injection{Place: n.ids.outbox, Tokens: -k}); err != nil {
+		if err := f.sess[i].Inject(petri.Injection{Place: ids.outbox, Tokens: -k}); err != nil {
 			return err
 		}
 		if n.parent == parentSink {
@@ -544,18 +557,18 @@ func (f *fieldSim) deliver(i int, te float64) error {
 			f.refresh(i)
 			return nil
 		}
-		p := &f.nodes[n.parent]
+		p, ps := &f.nodes[n.parent], f.sess[n.parent]
 		bits := float64(k) * radio.PacketBits
 		txJ := radio.TxJ(bits, n.dist)
 		n.batt.DrainJ(txJ)
 		f.touch(n.parent, te)
 		p.batt.DrainJ(radio.RxJ(bits) + radio.AggregateJ(bits))
-		if err := p.sess.StepTo(te); err != nil {
+		if err := ps.StepTo(te); err != nil {
 			return err
 		}
-		if err := p.sess.Inject(
-			petri.Injection{Place: p.ids.p6, Tokens: k},
-			petri.Injection{Place: p.ids.buffer, Tokens: k},
+		if err := ps.Inject(
+			petri.Injection{Place: ids.p6, Tokens: k},
+			petri.Injection{Place: ids.buffer, Tokens: k},
 		); err != nil {
 			return err
 		}
@@ -571,9 +584,10 @@ func (f *fieldSim) deliver(i int, te float64) error {
 	}
 }
 
-// finish closes every surviving session at the horizon and assembles the
-// result: CPU energy from the time-averaged state fractions and the power
-// table, radio energy from the per-packet accounting, lifetime measured at
+// finish steps every surviving session to the horizon, reads the six
+// numbers it needs (AR and SR firings, the four state-place averages) and
+// closes it, then assembles the result: CPU energy from the time-averaged
+// state fractions and the power table, radio energy from the per-packet accounting, lifetime measured at
 // the first battery-zero crossing when one happened and extrapolated from
 // average draw otherwise. Dead nodes are assembled from the field layer's
 // own incremental accounting — their sessions were closed at the crossing
@@ -611,17 +625,17 @@ func (f *fieldSim) finish() (*Result, error) {
 			// draw up to the horizon (no crossing can hide in the tail:
 			// it would have been scheduled and killed the node).
 			f.touch(i, f.hz)
-			res, err := n.sess.Finish()
-			n.sess = nil
-			if err != nil {
+			sess := f.sess[i]
+			if err := sess.StepTo(f.hz); err != nil {
 				return nil, fmt.Errorf("field: node %d: %w", n.node.ID, err)
 			}
-			nr.Samples = res.Firings[n.ids.ar]
-			nr.Processed = res.Firings[n.ids.sr]
-			nr.CPUFractions[energy.Standby] = res.PlaceAvg[n.ids.standby]
-			nr.CPUFractions[energy.PowerUp] = res.PlaceAvg[n.ids.powerup]
-			nr.CPUFractions[energy.Idle] = res.PlaceAvg[n.ids.idle]
-			nr.CPUFractions[energy.Active] = res.PlaceAvg[n.ids.active]
+			nr.Samples = sess.Firings(f.ids.ar)
+			nr.Processed = sess.Firings(f.ids.sr)
+			for s, p := range f.ids.states {
+				nr.CPUFractions[s] = sess.PlaceAvg(p)
+			}
+			sess.Close()
+			f.sess[i] = nil
 			nr.CPUEnergyJ = cfg.CPU.Power.EnergyJoules(nr.CPUFractions, cfg.Horizon)
 			nr.SenseEnergyJ = cfg.Radio.SenseJ(float64(nr.Samples) * cfg.Radio.PacketBits)
 			nr.ListenEnergyJ = cfg.Radio.ListenMW * cfg.Horizon / 1000

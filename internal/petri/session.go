@@ -129,7 +129,8 @@ func (s *Session) Now() float64 {
 	return s.e.now
 }
 
-// Horizon returns Warmup+Duration, the time Finish advances to.
+// Horizon returns Warmup+Duration, the end of the measured period: the time
+// Finish advances to and the latest time StepTo accepts.
 func (s *Session) Horizon() float64 {
 	if s.done {
 		return math.NaN()
@@ -168,6 +169,21 @@ func (s *Session) Firings(t TransitionID) uint64 {
 		return 0
 	}
 	return s.e.firings[t]
+}
+
+// PlaceAvg returns the time-averaged token count of place p over the
+// measured period so far, [Warmup, Now]: the value Finish would report in
+// SimResult.PlaceAvg if the horizon were Now. Stepped to the horizon, it is
+// bit-identical to Finish's, which computes its averages through it. It
+// returns NaN before measurement begins, after the session ended, and for
+// an unknown place.
+func (s *Session) PlaceAvg(p PlaceID) float64 {
+	if s.done || !s.e.measuring || int(p) < 0 || int(p) >= len(s.e.pstats) {
+		return math.NaN()
+	}
+	e := s.e
+	st := &e.pstats[p]
+	return e.timeAvg(st.tokInt, st.tokT, st.tokV, e.now)
 }
 
 // StepTo fires every internal event scheduled at or before t, in the exact
@@ -310,7 +326,9 @@ func (s *Session) applyDelta(p int32, d int) {
 // result assembly of the closed-loop engine, including the deadlock
 // convention (an empty schedule means the final marking absorbs the
 // remaining time). The session's engine is released; the session cannot be
-// used afterwards.
+// used afterwards. It allocates the result and five slices; a caller that
+// needs only a few counters and averages can instead StepTo(Horizon()),
+// read them with Firings and PlaceAvg, and Close.
 func (s *Session) Finish() (*SimResult, error) {
 	if err := s.active(); err != nil {
 		return nil, err
@@ -332,7 +350,7 @@ func (s *Session) Finish() (*SimResult, error) {
 	}
 	for i := range n.Places {
 		st := &e.pstats[i]
-		res.PlaceAvg[i] = e.timeAvg(st.tokInt, st.tokT, st.tokV, horizon)
+		res.PlaceAvg[i] = s.PlaceAvg(PlaceID(i))
 		res.PlaceNonEmpty[i] = e.timeAvg(st.busyInt, st.busyT, st.busyV, horizon)
 	}
 	for i := range n.Transitions {

@@ -93,6 +93,30 @@ func TestSessionMatchesSimulate(t *testing.T) {
 						t.Fatalf("%s/%s: Finish: %v", name, dname, err)
 					}
 					sameSimResult(t, name+"/"+dname, want, got)
+
+					// The lean ending: step to the horizon, read the
+					// counters and averages, and Close.
+					s, err = c.OpenSession(ctx, opt)
+					if err != nil {
+						t.Fatalf("%s/%s: OpenSession: %v", name, dname, err)
+					}
+					if err := drive(s); err != nil {
+						t.Fatalf("%s/%s: drive: %v", name, dname, err)
+					}
+					if err := s.StepTo(s.Horizon()); err != nil {
+						t.Fatalf("%s/%s: StepTo(Horizon): %v", name, dname, err)
+					}
+					for p, avg := range want.PlaceAvg {
+						if got := s.PlaceAvg(petri.PlaceID(p)); math.Float64bits(got) != math.Float64bits(avg) {
+							t.Fatalf("%s/%s: PlaceAvg(%d) = %v, Simulate %v", name, dname, p, got, avg)
+						}
+					}
+					for tr, fired := range want.Firings {
+						if got := s.Firings(petri.TransitionID(tr)); got != fired {
+							t.Fatalf("%s/%s: Firings(%d) = %d, Simulate %d", name, dname, tr, got, fired)
+						}
+					}
+					s.Close()
 				}
 			}
 		}
@@ -317,8 +341,8 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	if err := s.Inject(); err == nil {
 		t.Fatal("Inject after Finish succeeded")
 	}
-	if !math.IsNaN(s.Now()) || !math.IsNaN(s.Horizon()) || !math.IsNaN(s.NextEventTime()) {
-		t.Fatal("finished session should report NaN times")
+	if !math.IsNaN(s.Now()) || !math.IsNaN(s.Horizon()) || !math.IsNaN(s.NextEventTime()) || !math.IsNaN(s.PlaceAvg(0)) {
+		t.Fatal("finished session should report NaN times and averages")
 	}
 	s.Close() // no-op after Finish
 
@@ -331,5 +355,21 @@ func TestSessionLifecycleErrors(t *testing.T) {
 	s2.Close()
 	if _, err := s2.Finish(); err == nil {
 		t.Fatal("Finish after Close succeeded")
+	}
+
+	// PlaceAvg has no value before the warmup ends or for an unknown place.
+	s3, err := c.OpenSession(context.Background(), petri.SimOptions{Seed: 1, Warmup: 5, Duration: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if !math.IsNaN(s3.PlaceAvg(0)) {
+		t.Fatal("PlaceAvg answered during warmup")
+	}
+	if err := s3.StepTo(6); err != nil {
+		t.Fatal(err)
+	}
+	if math.IsNaN(s3.PlaceAvg(0)) || !math.IsNaN(s3.PlaceAvg(-1)) || !math.IsNaN(s3.PlaceAvg(petri.PlaceID(len(n.Places)))) {
+		t.Fatal("PlaceAvg after warmup: want a value for a known place and NaN for unknown ones")
 	}
 }

@@ -330,29 +330,36 @@ func newEngines(c *Compiled, n int) []engine {
 	bools := make(slab[bool], n*nT)
 	counts := make(slab[uint64], n*nT)
 	pstats := make(slab[placeStat], n*nP)
-	timers := make(slab[timerNode], n*nTimed)
+	// The linear scheduler scans fireAt and never touches the heap, so its
+	// engines get no heap storage.
+	linear, nHeap := nTimed <= linearSchedulerMax, nTimed
+	if linear {
+		nHeap = 0
+	}
+	timers := make(slab[timerNode], n*nHeap)
 	es := make([]engine, n)
 	for i := range es {
-		es[i] = engine{
-			comp:         c,
-			net:          net,
-			marking:      ints.take(nP),
-			degree:       ints.take(nT),
-			fireAt:       floats.take(nT),
-			remain:       floats.take(nT),
-			heap:         timers.take(nTimed)[:0],
-			heapPos:      int32s.take(nT),
-			unsat:        int32s.take(nT),
-			guardEnabled: bools.take(nT),
-			groupLive:    int32s.take(nG),
-			dirty:        int32s.take(4 * nP)[:0],
-			candTimed:    int32s.take(4 * nTimed)[:0],
-			immScratch:   int32s.take(maxGroup)[:0],
-			pstats:       pstats.take(nP),
-			firings:      counts.take(nT),
-			linear:       nTimed <= linearSchedulerMax,
-			shared:       n > 1,
-		}
+		// Filled field by field in place: assigning a whole engine literal
+		// would copy it through a temporary, and while a GC cycle runs that
+		// copy pays a bulk write barrier over every pointer word.
+		e := &es[i]
+		e.comp, e.net = c, net
+		e.marking = ints.take(nP)
+		e.degree = ints.take(nT)
+		e.fireAt = floats.take(nT)
+		e.remain = floats.take(nT)
+		e.heap = timers.take(nHeap)[:0]
+		e.heapPos = int32s.take(nT)
+		e.unsat = int32s.take(nT)
+		e.guardEnabled = bools.take(nT)
+		e.groupLive = int32s.take(nG)
+		e.dirty = int32s.take(4 * nP)[:0]
+		e.candTimed = int32s.take(4 * nTimed)[:0]
+		e.immScratch = int32s.take(maxGroup)[:0]
+		e.pstats = pstats.take(nP)
+		e.firings = counts.take(nT)
+		e.linear = linear
+		e.shared = n > 1
 	}
 	return es
 }

@@ -265,20 +265,33 @@ func TestSweepServiceCoordinatorCrashRecovery(t *testing.T) {
 		t.Fatal("detached submit printed no sweep id")
 	}
 
-	// Freeze the worker so progress cannot change under the status read,
-	// and ask for its graceful drain only when the sweep is provably
-	// mid-flight: completed partitions in the journal, untouched ones
-	// still queued. The SIGTERM is delivered on SIGCONT; the worker
-	// finishes its current lease, submits it, and exits, and the queued
-	// partitions guarantee the sweep stays unfinished.
+	// Watch the running worker until the sweep is mid-flight — completed
+	// partitions in the journal, untouched ones still queued — then freeze
+	// it, so progress cannot change under a second status read, and ask for
+	// its graceful drain only if that read still shows the sweep mid-flight
+	// (otherwise it is resumed and watched again). The SIGTERM is delivered
+	// on SIGCONT; the worker finishes its current lease, submits it, and
+	// exits, and the queued partitions guarantee the sweep stays
+	// unfinished. The watch polls about once a millisecond, because a
+	// partition of this reduced sweep takes only tens of milliseconds: a
+	// coarser watch that froze the worker on every probe could miss the
+	// whole mid-flight window.
 	pid := worker.Process.Pid
+	midFlight := func(st sweepd.SweepStatus) bool { return st.Completed > 0 && st.Queued > 0 }
 	drained := false
-	for i := 0; i < 500 && !drained; i++ {
+	for deadline := time.Now().Add(time.Minute); !drained && time.Now().Before(deadline); {
+		st, err := client.SweepStatus(id)
+		if err == nil && st.Completed == st.Total {
+			t.Fatalf("sweep finished before it could be caught mid-flight: %+v", st)
+		}
+		if err != nil || !midFlight(st) {
+			time.Sleep(time.Millisecond)
+			continue
+		}
 		if err := syscall.Kill(pid, syscall.SIGSTOP); err != nil {
 			t.Fatalf("SIGSTOP: %v", err)
 		}
-		st, err := client.SweepStatus(id)
-		if err == nil && st.Completed > 0 && st.Queued > 0 {
+		if st, err := client.SweepStatus(id); err == nil && midFlight(st) {
 			if err := syscall.Kill(pid, syscall.SIGTERM); err != nil {
 				t.Fatalf("SIGTERM: %v", err)
 			}
@@ -286,9 +299,6 @@ func TestSweepServiceCoordinatorCrashRecovery(t *testing.T) {
 		}
 		if err := syscall.Kill(pid, syscall.SIGCONT); err != nil {
 			t.Fatalf("SIGCONT: %v", err)
-		}
-		if !drained {
-			time.Sleep(20 * time.Millisecond)
 		}
 	}
 	if !drained {
